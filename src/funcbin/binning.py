@@ -6,6 +6,13 @@ factor: the pointwise kernel derivative (naive), the synthesized derivative
 kappa' = (l * k)' of the convolved kernel, or a heuristic surrogate (STE /
 sigmoid). The forward pass never depends on the rule.
 
+Every pass shares one separable core. Each kernel factorises per axis, so
+the core builds, per axis, the window of bins u in (x - r, x + r] around
+each point and the (n x count) tables of g and g' over that window. The
+primal and the JVP are then one ``bincount`` over the flattened bin index;
+the VJP is one gather of the adjoint plus an ``einsum``. The 1D passes are
+the same core on one axis.
+
 Contributions falling outside the grid are dropped, not clamped.
 """
 
@@ -157,35 +164,43 @@ def _axis_rule(k: BinningKernel, mode: GradMode):
     raise ValueError(f"unknown grad mode {mode!r}")
 
 
-# --- scatter/gather loops ---------------------------------------------------
+# --- separable scatter/gather core ------------------------------------------
 
 
-def _offsets(coords: np.ndarray, radius: float):
-    """Starting bin index and window size covering |coord - u| < radius."""
-    u0 = np.ceil(coords - radius).astype(np.int64)
-    count = int(np.floor(2.0 * radius)) + 1
-    return u0, count
+def _axis_taps(coords: np.ndarray, size: int, radius: float, *fns):
+    """Kernel window of each coordinate on one axis of ``size`` bins.
+
+    The window is the ``ceil(2 radius)`` bins u in (coord - radius, coord + radius],
+    so each fn is evaluated at offsets coord - u in [-radius, radius). Returns the
+    (n, count) bin indices clamped into the grid, then for each fn its (n, count)
+    table fn(coord - u), zero at taps that fall off the grid.
+    """
+    u = (np.floor(coords - radius).astype(np.int64) + 1)[:, None] + np.arange(int(np.ceil(2.0 * radius)))
+    offsets = coords[:, None] - u
+    on_grid = (u >= 0) & (u < size)
+    return (np.clip(u, 0, size - 1), *(np.where(on_grid, f(offsets), 0.0) for f in fns))
+
+
+def _grid_taps(pts: WeightedPoints, grid: FrameGrid, radius: float, *fns):
+    """:func:`_axis_taps` of the x and then the y coordinates, in bin units."""
+    W, H = grid.shape
+    xn = (pts.xs - grid.origin[0]) / grid.delta
+    yn = (pts.ys - grid.origin[1]) / grid.delta
+    return _axis_taps(xn, W, radius, *fns), _axis_taps(yn, H, radius, *fns)
+
+
+def _scatter(ux: np.ndarray, uy: np.ndarray, vals: np.ndarray, grid: FrameGrid) -> np.ndarray:
+    """Sum the (n, count_x, count_y) tap values into the frame at bins (ux, uy)."""
+    W, H = grid.shape
+    flat = ux[:, :, None] * H + uy[:, None, :]
+    return np.bincount(flat.ravel(), weights=vals.ravel(), minlength=W * H).reshape(W, H)
 
 
 def bin_forward(pts: WeightedPoints, grid: FrameGrid, k: BinningKernel) -> Frame:
     """Scatter weighted points into the frame with binning kernel k."""
-    W, H = grid.shape
-    d = grid.delta
-    xn = (pts.xs - grid.origin[0]) / d
-    yn = (pts.ys - grid.origin[1]) / d
-    r = BINNING_SUPPORT[k]
-    u0, nu = _offsets(xn, r)
-    v0, nv = _offsets(yn, r)
-    flat = np.zeros(W * H)
-    for du in range(nu):
-        u = u0 + du
-        wx = eval_binning_kernel(k, xn - u)
-        for dv in range(nv):
-            v = v0 + dv
-            wy = eval_binning_kernel(k, yn - v)
-            m = (u >= 0) & (u < W) & (v >= 0) & (v < H)
-            flat += np.bincount(u[m] * H + v[m], weights=(pts.ws * wx * wy)[m], minlength=W * H)
-    return Frame(grid, flat.reshape(W, H))
+    (ux, gx), (uy, gy) = _grid_taps(pts, grid, BINNING_SUPPORT[k], lambda x: eval_binning_kernel(k, x))
+    vals = (pts.ws[:, None] * gx)[:, :, None] * gy[:, None, :]
+    return Frame(grid, _scatter(ux, uy, vals, grid))
 
 
 def bin_jvp(
@@ -200,26 +215,12 @@ def bin_jvp(
     ydot = np.asarray(tangents[1], dtype=float)
     if len(xdot) != len(pts) or len(ydot) != len(pts):
         raise LengthMismatchError("tangents must match point count")
-    W, H = grid.shape
-    d = grid.delta
-    xn = (pts.xs - grid.origin[0]) / d
-    yn = (pts.ys - grid.origin[1]) / d
     g, gp, r = _axis_rule(k, mode)
-    u0, nu = _offsets(xn, r)
-    v0, nv = _offsets(yn, r)
-    flat = np.zeros(W * H)
-    for du in range(nu):
-        u = u0 + du
-        dx = xn - u
-        gx, gpx = g(dx), gp(dx)
-        for dv in range(nv):
-            v = v0 + dv
-            dy = yn - v
-            gy, gpy = g(dy), gp(dy)
-            vals = pts.ws * (gpx * gy * xdot + gx * gpy * ydot) / d
-            m = (u >= 0) & (u < W) & (v >= 0) & (v < H)
-            flat += np.bincount(u[m] * H + v[m], weights=vals[m], minlength=W * H)
-    return flat.reshape(W, H)
+    (ux, gx, gpx), (uy, gy, gpy) = _grid_taps(pts, grid, r, g, gp)
+    wx = (pts.ws * xdot / grid.delta)[:, None] * gpx
+    wy = (pts.ws * ydot / grid.delta)[:, None] * gpy
+    vals = wx[:, :, None] * gy[:, None, :] + gx[:, :, None] * wy[:, None, :]
+    return _scatter(ux, uy, vals, grid)
 
 
 def bin_vjp(
@@ -233,33 +234,18 @@ def bin_vjp(
     adjoint = np.asarray(adjoint, dtype=float)
     if adjoint.shape != grid.shape:
         raise ShapeMismatchError(f"adjoint shape {adjoint.shape} != grid {grid.shape}")
-    W, H = grid.shape
-    d = grid.delta
-    xn = (pts.xs - grid.origin[0]) / d
-    yn = (pts.ys - grid.origin[1]) / d
     g, gp, r = _axis_rule(k, mode)
-    u0, nu = _offsets(xn, r)
-    v0, nv = _offsets(yn, r)
-    n = len(pts)
-    out_x = np.zeros(n)
-    out_y = np.zeros(n)
-    for du in range(nu):
-        u = u0 + du
-        dx = xn - u
-        gx, gpx = g(dx), gp(dx)
-        for dv in range(nv):
-            v = v0 + dv
-            dy = yn - v
-            gy, gpy = g(dy), gp(dy)
-            m = (u >= 0) & (u < W) & (v >= 0) & (v < H)
-            a = np.zeros(n)
-            a[m] = adjoint[u[m], v[m]]
-            out_x += a * pts.ws * gpx * gy / d
-            out_y += a * pts.ws * gx * gpy / d
-    return out_x, out_y
+    (ux, gx, gpx), (uy, gy, gpy) = _grid_taps(pts, grid, r, g, gp)
+    a = adjoint[ux[:, :, None], uy[:, None, :]]
+    s = pts.ws / grid.delta
+    # contract the gathered adjoint with the undifferentiated axis first
+    return (
+        s * np.einsum("ni,ni->n", np.einsum("nij,nj->ni", a, gy), gpx),
+        s * np.einsum("nj,nj->n", np.einsum("nij,ni->nj", a, gx), gpy),
+    )
 
 
-# --- 1D variants ------------------------------------------------------------
+# --- 1D variants: the same core on one axis ---------------------------------
 
 
 def bin_forward_1d(xs, ws, width: int, delta: float, origin: float, k: BinningKernel) -> np.ndarray:
@@ -270,15 +256,8 @@ def bin_forward_1d(xs, ws, width: int, delta: float, origin: float, k: BinningKe
     ws = np.asarray(ws, dtype=float)
     if len(xs) != len(ws):
         raise LengthMismatchError("xs and ws lengths differ")
-    xn = (xs - origin) / delta
-    u0, nu = _offsets(xn, BINNING_SUPPORT[k])
-    out = np.zeros(width)
-    for du in range(nu):
-        u = u0 + du
-        w = eval_binning_kernel(k, xn - u)
-        m = (u >= 0) & (u < width)
-        np.add.at(out, u[m], (ws * w)[m])
-    return out
+    u, g = _axis_taps((xs - origin) / delta, width, BINNING_SUPPORT[k], lambda x: eval_binning_kernel(k, x))
+    return np.bincount(u.ravel(), weights=(ws[:, None] * g).ravel(), minlength=width)
 
 
 def bin_jvp_1d(xs, ws, xdot, width, delta, origin, k: BinningKernel, mode: GradMode) -> np.ndarray:
@@ -286,16 +265,9 @@ def bin_jvp_1d(xs, ws, xdot, width, delta, origin, k: BinningKernel, mode: GradM
     xs = np.asarray(xs, dtype=float)
     ws = np.asarray(ws, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
-    xn = (xs - origin) / delta
     _, gp, r = _axis_rule(k, mode)
-    u0, nu = _offsets(xn, r)
-    out = np.zeros(width)
-    for du in range(nu):
-        u = u0 + du
-        vals = ws * gp(xn - u) * xdot / delta
-        m = (u >= 0) & (u < width)
-        np.add.at(out, u[m], vals[m])
-    return out
+    u, gpx = _axis_taps((xs - origin) / delta, width, r, gp)
+    return np.bincount(u.ravel(), weights=((ws * xdot / delta)[:, None] * gpx).ravel(), minlength=width)
 
 
 def bin_vjp_1d(xs, ws, adjoint, width, delta, origin, k: BinningKernel, mode: GradMode) -> np.ndarray:
@@ -305,14 +277,6 @@ def bin_vjp_1d(xs, ws, adjoint, width, delta, origin, k: BinningKernel, mode: Gr
         raise ShapeMismatchError(f"adjoint shape {adjoint.shape} != ({width},)")
     xs = np.asarray(xs, dtype=float)
     ws = np.asarray(ws, dtype=float)
-    xn = (xs - origin) / delta
     _, gp, r = _axis_rule(k, mode)
-    u0, nu = _offsets(xn, r)
-    out = np.zeros(len(xs))
-    for du in range(nu):
-        u = u0 + du
-        m = (u >= 0) & (u < width)
-        a = np.zeros(len(xs))
-        a[m] = adjoint[u[m]]
-        out += a * ws * gp(xn - u) / delta
-    return out
+    u, gpx = _axis_taps((xs - origin) / delta, width, r, gp)
+    return ws / delta * np.einsum("ni,ni->n", adjoint[u], gpx)

@@ -63,17 +63,6 @@ def objective_grad(cfg: ObjectiveConfig, packet: EventPacket, theta) -> np.ndarr
     return contrib.sum(axis=0)
 
 
-def objective_value_and_grad(cfg: ObjectiveConfig, packet: EventPacket, theta):
-    """Evaluate value and gradient sharing the forward pass."""
-    pts, res = _warp_to_grid(cfg, packet, theta)
-    frame = bin_forward(pts, cfg.grid, cfg.kernel)
-    val = score(frame, cfg.score)
-    vbar = adjoint(frame, cfg.score)
-    gx, gy = bin_vjp(pts, vbar, cfg.grid, cfg.kernel, cfg.mode)
-    contrib = cfg.scale * (gx[:, None] * res.jacobian[:, 0, :] + gy[:, None] * res.jacobian[:, 1, :])
-    return val, contrib.sum(axis=0)
-
-
 # --- optimizer --------------------------------------------------------------
 
 

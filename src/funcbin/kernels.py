@@ -8,7 +8,9 @@ nonexistent) derivative of ``k`` in the backward pass.
 
 All kernels here are symmetric with compact support. ``kappa`` is available
 in closed form whenever ``l`` is the linear spline; every other pairing is
-tabulated by numerical convolution and interpolated with a cubic spline.
+tabulated by numerical convolution on a uniform grid and fitted with a
+natural cubic spline, whose piecewise coefficients are evaluated by direct
+interval lookup.
 """
 
 from __future__ import annotations
@@ -65,11 +67,15 @@ _RECON_BREAKS = {
 
 
 def eval_binning_kernel(kind: BinningKernel, x) -> np.ndarray:
-    """Evaluate the binning kernel k at x (vectorized, exact zero outside support)."""
+    """Evaluate the binning kernel k at x (vectorized, exact zero outside support).
+
+    The rect kernel is half-open, 1 on [-1/2, 1/2), so a point on a bin edge
+    counts in exactly one bin: the upper one, as in ``np.histogram2d``.
+    """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     if kind == BinningKernel.RECT:
-        return np.where(a < 0.5, 1.0, 0.0)
+        return np.where((x >= -0.5) & (x < 0.5), 1.0, 0.0)
     if kind == BinningKernel.LINEAR:
         return np.where(a < 1.0, 1.0 - a, 0.0)
     if kind == BinningKernel.GAUSS_TRUNC:
@@ -257,7 +263,11 @@ class _ClosedFormKernel(SynthesizedKernel):
 
 
 class _TabulatedKernel(SynthesizedKernel):
-    """kappa sampled on a uniform grid and interpolated with a cubic spline."""
+    """kappa sampled on a uniform grid and fitted with a natural cubic spline.
+
+    Evaluation looks up the interval ``(x + r) / step`` directly and applies
+    Horner's rule to the spline's own piecewise coefficients.
+    """
 
     def __init__(self, k_kind, l_kind, step: float = 1e-3):
         super().__init__(k_kind, l_kind)
@@ -266,21 +276,27 @@ class _TabulatedKernel(SynthesizedKernel):
         xs = np.arange(-r, r + step / 2, step)
         vals = _convolve_on_grid(k_kind, l_kind, xs)
         self._spline = CubicSpline(xs, vals, bc_type="natural")
-        self._dspline = self._spline.derivative()
+        c = self._spline.c
+        self._coeffs = tuple(c)
+        self._dcoeffs = (3.0 * c[0], 2.0 * c[1], c[2])
+
+    def _lookup(self, x, coeffs) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        r = self.support_radius
+        knots = self._spline.x
+        # x off the support is clipped onto it for the lookup, then zeroed
+        i = np.minimum(((np.clip(x, -r, r) + r) / self.step).astype(np.int64), len(knots) - 2)
+        t = x - knots[i]
+        out = coeffs[0][i]
+        for c in coeffs[1:]:
+            out = out * t + c[i]
+        return np.where(np.abs(x) < r, out, 0.0)
 
     def kappa(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = np.abs(x) < self.support_radius
-        out = np.zeros_like(x)
-        out[inside] = self._spline(x[inside])
-        return out
+        return self._lookup(x, self._coeffs)
 
     def kappa_prime(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = np.abs(x) < self.support_radius
-        out = np.zeros_like(x)
-        out[inside] = self._dspline(x[inside])
-        return out
+        return self._lookup(x, self._dcoeffs)
 
 
 def _convolve_on_grid(k_kind, l_kind, xs, step: float = 1e-3) -> np.ndarray:

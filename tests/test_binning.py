@@ -20,8 +20,11 @@ from funcbin import (
     bin_jvp,
     bin_jvp_1d,
     bin_vjp,
+    bin_vjp_1d,
 )
 from funcbin.errors import InvalidGridError, LengthMismatchError, ShapeMismatchError
+
+import binning_oracle as oracle
 
 ALL_MODES = [
     Naive(),
@@ -78,6 +81,35 @@ def test_single_point_rect():
     frame = bin_forward(pts, grid, BinningKernel.RECT)
     assert frame.values[3, 5] == 2.0
     assert frame.values.sum() == 2.0
+
+
+def _histogram(xs, ys, grid):
+    """Counts per bin, bin (u, v) covering [u - 1/2, u + 1/2) x [v - 1/2, v + 1/2) in units of delta."""
+    edges = [np.arange(grid.width + 1) - 0.5, np.arange(grid.height + 1) - 0.5]
+    counts, _, _ = np.histogram2d(np.asarray(xs) / grid.delta, np.asarray(ys) / grid.delta, bins=edges)
+    return counts
+
+
+def test_rect_point_on_bin_edge_counts_once():
+    # x = 3.0 on a delta = 2.0 grid lies on the edge between bins 1 and 2
+    grid = FrameGrid(8, 8, 2.0)
+    pts = WeightedPoints([3.0], [7.0], [1.0])
+    frame = bin_forward(pts, grid, BinningKernel.RECT)
+    assert frame.values.sum() == 1.0
+    assert frame.values[2, 4] == 1.0
+    assert np.array_equal(frame.values, _histogram(pts.xs, pts.ys, grid))
+
+
+def test_rect_integer_coordinates_even_delta():
+    # with an even delta every odd integer coordinate lies on a bin edge; the
+    # ranges stop short of the grid's upper edges, which np.histogram2d closes
+    grid = FrameGrid(10, 6, 2.0)
+    xs, ys = np.meshgrid(np.arange(-3, 19), np.arange(-3, 11), indexing="ij")
+    pts = WeightedPoints(xs.ravel(), ys.ravel(), np.ones(xs.size))
+    frame = bin_forward(pts, grid, BinningKernel.RECT)
+    expected = _histogram(pts.xs, pts.ys, grid)
+    assert np.array_equal(frame.values, expected)
+    assert frame.values.sum() == 20 * 12
 
 
 def test_linear_splits_between_bins():
@@ -173,3 +205,68 @@ def test_mass_conservation_property(seed):
     pts, grid = _random_instance(rng, n=12)
     frame = bin_forward(pts, grid, BinningKernel.LINEAR)
     assert frame.values.sum() == pytest.approx(pts.ws.sum(), rel=1e-10)
+
+
+def _assert_close(new, ref, rtol=1e-12):
+    """Agreement relative to the reference's largest magnitude."""
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.max(np.abs(new - ref), initial=0.0) <= rtol * np.max(np.abs(ref), initial=0.0)
+
+
+@pytest.mark.parametrize("k", list(BinningKernel))
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_separable_core_matches_loop_oracle(k, mode):
+    """Every 2D and 1D pass equals the per-tap loops on points partly off the grid."""
+    rng = np.random.default_rng(11)
+    W, H, d = 16, 12, 0.5
+    grid = FrameGrid(W, H, d, origin=(0.25, -0.5))
+    n = 200
+    xs = rng.uniform(-2.0, W * d + 2.0, n)
+    ys = rng.uniform(-2.0, H * d + 2.0, n)
+    pts = WeightedPoints(xs, ys, rng.uniform(0.5, 2.0, n))
+    xdot, ydot = rng.normal(size=n), rng.normal(size=n)
+    vbar = rng.normal(size=grid.shape)
+    _assert_close(bin_forward(pts, grid, k).values, oracle.forward(pts, grid, k))
+    _assert_close(bin_jvp(pts, (xdot, ydot), grid, k, mode), oracle.jvp(pts, (xdot, ydot), grid, k, mode))
+    for got, ref in zip(bin_vjp(pts, vbar, grid, k, mode), oracle.vjp(pts, vbar, grid, k, mode)):
+        _assert_close(got, ref)
+    o = grid.origin[0]
+    _assert_close(bin_forward_1d(xs, pts.ws, W, d, o, k), oracle.forward_1d(xs, pts.ws, W, d, o, k))
+    _assert_close(bin_jvp_1d(xs, pts.ws, xdot, W, d, o, k, mode), oracle.jvp_1d(xs, pts.ws, xdot, W, d, o, k, mode))
+    vbar1 = vbar[:, 0]
+    _assert_close(bin_vjp_1d(xs, pts.ws, vbar1, W, d, o, k, mode), oracle.vjp_1d(xs, pts.ws, vbar1, W, d, o, k, mode))
+
+
+@pytest.mark.parametrize("k", list(BinningKernel))
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_adjoint_consistency_1d(k, mode):
+    """<vbar, JVP_1D(xdot)> must equal <VJP_1D(vbar), xdot> for every rule."""
+    rng = np.random.default_rng(43)
+    width, delta, origin = 16, 0.5, -0.25
+    for _ in range(10):
+        xs = rng.uniform(-1.0, width * delta + 1.0, 25)
+        ws = rng.uniform(0.5, 2.0, 25)
+        xdot = rng.normal(size=25)
+        vbar = rng.normal(size=width)
+        lhs = float(np.sum(vbar * bin_jvp_1d(xs, ws, xdot, width, delta, origin, k, mode)))
+        rhs = float(np.sum(bin_vjp_1d(xs, ws, vbar, width, delta, origin, k, mode) * xdot))
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", list(BinningKernel))
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_mirrored_point_negates_x_gradient(k, mode):
+    """A point mirrored about a bin centre, under an adjoint mirrored the same way, flips g_x.
+
+    The window (x - r, x + r] is symmetric about each point, so this holds for
+    rules whose derivative does not vanish at the window's edge (the sigmoid).
+    """
+    rng = np.random.default_rng(3)
+    grid = FrameGrid(15, 9, 1.0)
+    half = rng.normal(size=(8, 9))
+    vbar = np.concatenate([half[:0:-1], half])  # column 7 is the mirror axis
+    pts = WeightedPoints([7.25, 6.75], [4.375, 4.375], [1.0, 1.0])
+    gx, gy = bin_vjp(pts, vbar, grid, k, mode)
+    assert gx[1] == pytest.approx(-gx[0], rel=1e-12, abs=1e-15)
+    assert gy[1] == pytest.approx(gy[0], rel=1e-12, abs=1e-15)

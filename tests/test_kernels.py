@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from funcbin import BinningKernel, ReconKernel, synthesize_kappa
@@ -22,9 +23,10 @@ ALL_PAIRS = [(k, l) for k in BinningKernel for l in ReconKernel]
 
 
 def test_rect_values():
-    xs = np.array([-0.6, -0.49, 0.0, 0.49, 0.6])
+    # half-open [-1/2, 1/2): a point on a bin edge counts in exactly one bin
+    xs = np.array([-0.6, -0.5, -0.49, 0.0, 0.49, 0.5, 0.6])
     np.testing.assert_allclose(
-        eval_binning_kernel(BinningKernel.RECT, xs), [0, 1, 1, 1, 0]
+        eval_binning_kernel(BinningKernel.RECT, xs), [0, 1, 1, 1, 1, 0, 0]
     )
 
 
@@ -121,6 +123,24 @@ def test_kappa_support(k, l):
     assert sk.support_radius == pytest.approx(BINNING_SUPPORT[k] + RECON_SUPPORT[l])
     out = sk.kappa(np.array([-sk.support_radius - 0.01, sk.support_radius + 0.01]))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", list(BinningKernel))
+@pytest.mark.parametrize("l", [ReconKernel.CUBIC, ReconKernel.LANCZOS])
+def test_tabulated_lookup_matches_cubic_spline(k, l):
+    """The direct interval lookup evaluates the fitted spline as scipy does."""
+    sk = synthesize_kappa(k, l)
+    spline = sk._spline
+    assert isinstance(spline, CubicSpline)
+    r = sk.support_radius
+    knots = spline.x
+    xs = np.concatenate([knots, np.linspace(-r - 0.5, r + 0.5, 200_001), [-r, r]])
+    inside = np.abs(xs) < r
+    kappa, kappa_prime = sk.kappa(xs), sk.kappa_prime(xs)
+    np.testing.assert_allclose(kappa[inside], spline(xs[inside]), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(kappa_prime[inside], spline(xs[inside], 1), rtol=0, atol=1e-14)
+    assert np.all(kappa[~inside] == 0.0)
+    assert np.all(kappa_prime[~inside] == 0.0)
 
 
 @settings(deadline=None, max_examples=60)
