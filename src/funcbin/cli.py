@@ -121,7 +121,10 @@ def _auto_scale(args, events) -> float:
 def _require_infile(args):
     if args.infile is None:
         raise FuncbinError("missing required --in events file")
-    return read_events_txt(args.infile)
+    events = read_events_txt(args.infile)
+    if not events:
+        raise FuncbinError(f"no events in {args.infile}")
+    return events
 
 
 def _write_frame_csv(path, frame) -> None:
@@ -214,9 +217,10 @@ def cmd_bias(args) -> int:
 def cmd_estimate(args) -> int:
     """Estimate motion per packet with L-BFGS; report RMS against optional truth."""
     events = _require_infile(args)
-    packets = packetize(events, args.ne)
+    ne = min(args.ne, len(events))
+    packets = packetize(events, ne)
     if not packets:
-        raise FuncbinError(f"no complete packet of {args.ne} events in input")
+        raise FuncbinError(f"no complete packet of {ne} events in input")
     cfg = _config(args)
     if args.scale is None:
         from dataclasses import replace
@@ -235,6 +239,8 @@ def cmd_estimate(args) -> int:
                 "iterations": len(trace.values) - 1,
                 "converged": trace.converged,
                 "reason": trace.reason,
+                "f_evals": trace.f_evals,
+                "g_evals": trace.g_evals,
             }
         )
     result = {
@@ -244,7 +250,7 @@ def cmd_estimate(args) -> int:
             "recon": args.recon,
             "score": args.score,
             "model": args.model,
-            "ne": args.ne,
+            "ne": ne,
             "grid": [args.width, args.height, args.delta],
             "scale": cfg.scale,
         },

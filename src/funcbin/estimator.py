@@ -3,6 +3,12 @@
 The objective is a scalar function of the three motion parameters. Its
 gradient flows backward through the score adjoint, the binning VJP under
 the configured derivative rule, and the analytic warp Jacobians.
+
+One private evaluation of theta (``_Evaluation``) warps, bins and scores,
+and completes the gradient on demand from the same warped points and frame;
+the warp Jacobian is built only then. ``objective_value``,
+``objective_grad`` and ``lbfgs_maximize`` all go through it, the last
+behind a memo of the last theta evaluated.
 """
 
 from __future__ import annotations
@@ -47,20 +53,45 @@ def objective_frame(cfg: ObjectiveConfig, packet: EventPacket, theta) -> Frame:
     return bin_forward(pts, cfg.grid, cfg.kernel)
 
 
+class _Evaluation:
+    """warp -> bin_forward -> score at one theta, with the gradient completed on demand.
+
+    The gradient (score adjoint -> ``bin_vjp`` -> warp Jacobian chain) reuses
+    the warped points and the frame of the value, and is computed at most
+    once.
+    """
+
+    def __init__(self, cfg: ObjectiveConfig, packet: EventPacket, theta):
+        self.cfg = cfg
+        self.pts, self.res = _warp_to_grid(cfg, packet, theta)
+        self.frame = bin_forward(self.pts, cfg.grid, cfg.kernel)
+        self.value = score(self.frame, cfg.score)
+        self._grad = None
+
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            cfg = self.cfg
+            vbar = adjoint(self.frame, cfg.score)
+            gx, gy = bin_vjp(self.pts, vbar, cfg.grid, cfg.kernel, cfg.mode)
+            J = self.res.jacobian
+            # chain through the coordinate scale and the per-event warp Jacobians
+            contrib = cfg.scale * (gx[:, None] * J[:, 0, :] + gy[:, None] * J[:, 1, :])
+            self._grad = contrib.sum(axis=0)
+        return self._grad
+
+    @property
+    def has_grad(self) -> bool:
+        return self._grad is not None
+
+
 def objective_value(cfg: ObjectiveConfig, packet: EventPacket, theta) -> float:
     """score(bin(warp(packet, theta))). Independent of the gradient mode."""
-    return score(objective_frame(cfg, packet, theta), cfg.score)
+    return _Evaluation(cfg, packet, theta).value
 
 
 def objective_grad(cfg: ObjectiveConfig, packet: EventPacket, theta) -> np.ndarray:
     """Analytic d objective / d theta via the VJP chain."""
-    pts, res = _warp_to_grid(cfg, packet, theta)
-    frame = bin_forward(pts, cfg.grid, cfg.kernel)
-    vbar = adjoint(frame, cfg.score)
-    gx, gy = bin_vjp(pts, vbar, cfg.grid, cfg.kernel, cfg.mode)
-    # chain through the coordinate scale and the per-event warp Jacobians
-    contrib = cfg.scale * (gx[:, None] * res.jacobian[:, 0, :] + gy[:, None] * res.jacobian[:, 1, :])
-    return contrib.sum(axis=0)
+    return _Evaluation(cfg, packet, theta).grad()
 
 
 # --- optimizer --------------------------------------------------------------
@@ -68,7 +99,13 @@ def objective_grad(cfg: ObjectiveConfig, packet: EventPacket, theta) -> np.ndarr
 
 @dataclass
 class OptTrace:
-    """Accepted iterates of one optimization run."""
+    """Accepted iterates of one optimization run.
+
+    ``f_evals`` counts the objective evaluations (warp and forward binning)
+    that ``lbfgs_maximize`` made and ``g_evals`` the gradients it completed;
+    repeats served from its memo are not counted. Both stay 0 when
+    ``_lbfgs_minimize`` is called with plain functions.
+    """
 
     thetas: list = field(default_factory=list)
     values: list = field(default_factory=list)
@@ -76,6 +113,8 @@ class OptTrace:
     times: list = field(default_factory=list)
     converged: bool = False
     reason: str = "max_iter"
+    f_evals: int = 0
+    g_evals: int = 0
 
     def record(self, theta, value, gnorm, t):
         self.thetas.append(np.array(theta, dtype=float))
@@ -198,17 +237,39 @@ def lbfgs_maximize(
     """Maximize the contrast objective; returns the best iterate and trace.
 
     Implemented as minimization of the negated score; the trace reports the
-    un-negated (maximized) values.
+    un-negated (maximized) values. f and g share one evaluation of theta,
+    memoized for the last theta alone (keyed on its bytes). The memo serves
+    the repeats the solver makes: the line search asks for f and then g at
+    the same step, the accepted step is evaluated again after the search,
+    and the Armijo fallback's last point is the next iterate. A repeat reuses
+    the warped points and frame, and the gradient is completed once per
+    theta. The results are those of separate ``objective_value`` and
+    ``objective_grad`` calls, bit for bit. The memo goes when this returns.
     """
+    memo_key, memo = None, None
+    f_evals = g_evals = 0
+
+    def evaluate(theta) -> _Evaluation:
+        nonlocal memo_key, memo, f_evals
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key != memo_key:
+            memo = None  # one evaluation alive at a time, also while the next is made
+            memo_key, memo = key, _Evaluation(cfg, packet, theta)
+            f_evals += 1
+        return memo
 
     def f(theta):
-        return -objective_value(cfg, packet, theta)
+        return -evaluate(theta).value
 
     def g(theta):
-        return -objective_grad(cfg, packet, theta)
+        nonlocal g_evals
+        ev = evaluate(theta)
+        g_evals += not ev.has_grad
+        return -ev.grad()
 
     theta, trace = _lbfgs_minimize(f, g, theta0, opts)
     trace.values = [-v for v in trace.values]
+    trace.f_evals, trace.g_evals = f_evals, g_evals
     return theta, trace
 
 

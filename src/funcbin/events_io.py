@@ -141,7 +141,8 @@ def synth_events(scene: SyntheticScene) -> tuple[list[Event], MotionParams]:
         if scene.motion.model == "rot":
             xy = _inverse_rot(feats[f], theta, dt)
         else:
-            xy = feats[f][None, :] - dt[:, None] * theta[None, :2]
+            # invert warp_translational: (xy + dt v[:2]) / (1 + dt vz) = feature
+            xy = feats[f][None, :] * (1.0 + dt[:, None] * theta[2]) - dt[:, None] * theta[None, :2]
         if scene.noise_std > 0:
             xy = xy + rng.normal(0.0, scene.noise_std, xy.shape)
         pols = rng.choice([-1, 1], m)

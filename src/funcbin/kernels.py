@@ -163,18 +163,20 @@ class SynthesizedKernel:
         raise NotImplementedError
 
 
+# The antiderivatives below are piecewise. Where evaluating every piece's
+# formula on every element and picking with np.where is faster than
+# gathering each piece's elements through a boolean mask, they do that; the
+# per-element formulas, and so the results, are the same either way. The
+# cubic pieces of the triangle and the erf piece of the Gaussian's K2 are
+# dearer than the gathers, so those keep their masks.
+
+
 def _rect_antider(t: np.ndarray, order: int) -> np.ndarray:
     # K1 / K2: first and second antiderivatives of k_rect, vanishing at -inf.
     if order == 1:
         return np.clip(t, -0.5, 0.5) + 0.5
-    lo = t <= -0.5
-    hi = t >= 0.5
-    mid = ~(lo | hi)
-    out = np.empty_like(t)
-    out[lo] = 0.0
-    out[mid] = 0.5 * (t[mid] + 0.5) ** 2
-    out[hi] = t[hi]  # K2(0.5) = 0.5, slope 1 beyond
-    return out
+    # K2(0.5) = 0.5, slope 1 beyond
+    return np.where(t <= -0.5, 0.0, np.where(t >= 0.5, t, 0.5 * (t + 0.5) ** 2))
 
 
 def _linear_antider(t: np.ndarray, order: int) -> np.ndarray:
@@ -212,13 +214,10 @@ def _gauss_antider(t: np.ndarray, order: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     lo = t <= -1.5
     hi = t >= 1.5
+    if order == 1:
+        return np.where(lo, 0.0, np.where(hi, _GAUSS_MASS, _gauss_cdf(t) - _gauss_cdf(np.full(1, -1.5))))
     mid = ~(lo | hi)
     out = np.empty_like(t)
-    if order == 1:
-        out[lo] = 0.0
-        out[mid] = _gauss_cdf(t[mid]) - _gauss_cdf(np.full(1, -1.5))
-        out[hi] = _GAUSS_MASS
-        return out
     # second antiderivative: integral of the above from -1.5
     cdf_lo = _gauss_cdf(np.full(1, -1.5))[0]
     phi_lo = _gauss_phi(np.full(1, -1.5))[0]

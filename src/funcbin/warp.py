@@ -5,11 +5,16 @@ rotational or translational model scaled by the time offset to the packet
 reference time, then perspective-projected back to 2D. Jacobians of the
 projected coordinates with respect to the three motion parameters are
 computed by the chain rule and validated against finite differences in the
-test suite.
+test suite. They are built lazily, on the first access of
+``WarpResult.jacobian``, so a warp whose points are only binned (an
+objective value) never pays for them; each of the six entries is built as
+one column over the kept events.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -114,12 +119,23 @@ class MotionParams:
 
 @dataclass
 class WarpResult:
-    """Projected points, weights, per-event 2x3 Jacobians, and bookkeeping."""
+    """Projected points, weights and bookkeeping, with the per-event 2x3 Jacobians on demand.
+
+    ``jacobian`` is an (n_kept, 2, 3) array built on first access from the
+    warp's own intermediates and kept from then on. A caller that only bins
+    the points, as the objective value does, never builds it.
+    """
 
     points: WeightedPoints
-    jacobian: np.ndarray  # (n_kept, 2, 3)
     kept: np.ndarray  # boolean mask over the input packet
-    n_excluded: int = 0
+    n_excluded: int
+    _build_jacobian: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def jacobian(self) -> np.ndarray:
+        J = self._build_jacobian()
+        self._build_jacobian = None  # let the intermediates go
+        return J
 
 
 def _event_weights(packet: EventPacket, weight_mode: str) -> np.ndarray:
@@ -131,25 +147,31 @@ def _event_weights(packet: EventPacket, weight_mode: str) -> np.ndarray:
 
 
 def _project(h: np.ndarray, project: bool, guard: float):
-    """Perspective divide with a guard; returns (x, y, keep mask, dproj/dh)."""
-    n = len(h)
+    """Perspective divide with a guard; returns (x, y, keep mask, divisor or None)."""
     if not project:
-        keep = np.ones(n, dtype=bool)
-        P = np.zeros((n, 2, 3))
-        P[:, 0, 0] = 1.0
-        P[:, 1, 1] = 1.0
-        return h[:, 0], h[:, 1], keep, P
+        return h[:, 0], h[:, 1], np.ones(len(h), dtype=bool), None
     z = h[:, 2]
     keep = np.abs(z) >= guard
     hz = np.where(keep, z, 1.0)
-    px = h[:, 0] / hz
-    py = h[:, 1] / hz
-    P = np.zeros((n, 2, 3))
-    P[:, 0, 0] = 1.0 / hz
-    P[:, 1, 1] = 1.0 / hz
-    P[:, 0, 2] = -h[:, 0] / hz**2
-    P[:, 1, 2] = -h[:, 1] / hz**2
-    return px, py, keep, P
+    return h[:, 0] / hz, h[:, 1] / hz, keep, hz
+
+
+def _projection_rows(h: np.ndarray, hz, keep: np.ndarray) -> tuple[tuple, tuple]:
+    """The two rows of d(projection)/dh at the kept events, each three columns over them."""
+    h = h[keep]
+    zero = np.zeros(len(h))
+    if hz is None:
+        one = np.ones(len(h))
+        return (one, zero, zero), (zero, one, zero)
+    hz = hz[keep]
+    inv = 1.0 / hz
+    return (inv, zero, -h[:, 0] / hz**2), (zero, inv, -h[:, 1] / hz**2)
+
+
+def _warp_result(packet, px, py, keep, weight_mode, build_jacobian) -> WarpResult:
+    ws = _event_weights(packet, weight_mode)
+    pts = WeightedPoints(px[keep], py[keep], ws[keep])
+    return WarpResult(pts, keep, int(np.count_nonzero(~keep)), build_jacobian)
 
 
 def warp_rotational(
@@ -171,23 +193,28 @@ def warp_rotational(
     X = np.stack([packet.xs, packet.ys, np.ones(len(packet))], axis=1)
     c = np.cross(np.broadcast_to(omega, X.shape), X)
     h = X + dt[:, None] * c
-    px, py, keep, P = _project(h, project, guard)
+    px, py, keep, hz = _project(h, project, guard)
 
-    # d(omega x X)/d(omega) = -[X]_x
-    n = len(packet)
-    skew = np.zeros((n, 3, 3))
-    skew[:, 0, 1] = -X[:, 2]
-    skew[:, 0, 2] = X[:, 1]
-    skew[:, 1, 0] = X[:, 2]
-    skew[:, 1, 2] = -X[:, 0]
-    skew[:, 2, 0] = -X[:, 1]
-    skew[:, 2, 1] = X[:, 0]
-    Jh = -dt[:, None, None] * skew
-    J = np.einsum("nij,njk->nik", P, Jh)
+    def jacobian():
+        # d(omega x X)/d(omega) = -[X]_x, so dh/domega = -dt [X]_x. Each entry of
+        # P @ Jh is summed as a matrix product sums it, from 0.0 and in the order
+        # j = 0, 1, 2 with the exact-zero terms, so the result is the same bits
+        x0, x1, x2 = X[keep, 0], X[keep, 1], X[keep, 2]
+        ndt = -dt[keep]
+        zero = ndt * 0.0
+        Jh = (
+            (zero, ndt * -x2, ndt * x1),
+            (ndt * x2, zero, ndt * -x0),
+            (ndt * -x1, ndt * x0, zero),
+        )
+        P = _projection_rows(h, hz, keep)
+        J = np.empty((len(ndt), 2, 3))
+        for i in range(2):
+            for col in range(3):
+                J[:, i, col] = 0.0 + P[i][0] * Jh[0][col] + P[i][1] * Jh[1][col] + P[i][2] * Jh[2][col]
+        return J
 
-    ws = _event_weights(packet, weight_mode)
-    pts = WeightedPoints(px[keep], py[keep], ws[keep])
-    return WarpResult(pts, J[keep], keep, int(np.count_nonzero(~keep)))
+    return _warp_result(packet, px, py, keep, weight_mode, jacobian)
 
 
 def warp_translational(
@@ -203,11 +230,19 @@ def warp_translational(
     dt = packet.t_ref - packet.ts
     X = np.stack([packet.xs, packet.ys, np.ones(len(packet))], axis=1)
     h = X + dt[:, None] * v[None, :]
-    px, py, keep, P = _project(h, project, guard)
-    J = dt[:, None, None] * P
-    ws = _event_weights(packet, weight_mode)
-    pts = WeightedPoints(px[keep], py[keep], ws[keep])
-    return WarpResult(pts, J[keep], keep, int(np.count_nonzero(~keep)))
+    px, py, keep, hz = _project(h, project, guard)
+
+    def jacobian():
+        # dh/dv = dt I, so the Jacobian is dt times d(projection)/dh
+        dtk = dt[keep]
+        P = _projection_rows(h, hz, keep)
+        J = np.empty((len(dtk), 2, 3))
+        for i in range(2):
+            for col in range(3):
+                J[:, i, col] = dtk * P[i][col]
+        return J
+
+    return _warp_result(packet, px, py, keep, weight_mode, jacobian)
 
 
 def warp(

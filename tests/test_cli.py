@@ -54,6 +54,33 @@ def test_estimate_recovers_truth(events_file, tmp_path, capsys):
     assert result["rms_unit"] == "deg/s"
 
 
+def test_estimate_default_ne_fits_short_stream(events_file, tmp_path):
+    """Without --ne, estimate on the 1,800-event synth stream solves it as one packet."""
+    out = tmp_path / "est.json"
+    rc = main(["estimate", "--in", str(events_file), "--truth", str(events_file) + ".truth", "--out", str(out)])
+    assert rc == 0
+    result = json.loads(out.read_text())
+    assert result["n_packets"] == 1
+    assert result["config"]["ne"] == 1800
+    row = result["per_packet"][0]
+    # real evaluations: every iterate is a warp and a gradient, plus the line searches' trials
+    assert row["f_evals"] >= row["g_evals"] >= row["iterations"] + 1
+    assert result["rms"] < 0.02 * np.degrees(np.linalg.norm([0.5, -0.3, 0.8]))
+
+
+def test_trans_synth_estimate_recovers_truth(tmp_path):
+    path = tmp_path / "trans.txt"
+    assert main(["synth", "--model", "trans", "--seed", "3", "--out", str(path)]) == 0
+    out = tmp_path / "est.json"
+    rc = main(["estimate", "--in", str(path), "--model", "trans", "--truth", str(path) + ".truth", "--out", str(out)])
+    assert rc == 0
+    result = json.loads(out.read_text())
+    truth = np.array([0.5, -0.3, 0.8])
+    est = np.array(result["per_packet"][0]["theta"])
+    assert np.linalg.norm(est - truth) < 0.02 * np.linalg.norm(truth)
+    assert result["rms_unit"] == "units/s"
+
+
 def test_precision_table(capsys):
     rc = main(["precision", "--kernel", "rect", "--recon", "linear"])
     assert rc == 0
@@ -93,6 +120,14 @@ def test_missing_input_is_runtime_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     parsed = json.loads(err)
     assert "error" in parsed and "message" in parsed
+
+
+def test_empty_input_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    assert main(["estimate", "--in", str(path)]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert parsed["message"] == f"no events in {path}"
 
 
 def test_bad_flag_exits_2():

@@ -102,6 +102,66 @@ def test_recovers_planted_motion(packet):
     assert np.linalg.norm(theta - truth) < 0.02 * np.linalg.norm(truth)
 
 
+def _unmemoized_solve(cfg, packet, calls):
+    """_lbfgs_minimize on plain value and gradient closures, logging each call's kind and theta."""
+
+    def f(th):
+        calls.append(("f", th.tobytes()))
+        return -objective_value(cfg, packet, th)
+
+    def g(th):
+        calls.append(("g", th.tobytes()))
+        return -objective_grad(cfg, packet, th)
+
+    return _lbfgs_minimize(f, g, np.zeros(3), LbfgsOptions())
+
+
+@pytest.mark.parametrize("recon", [ReconKernel.LINEAR, ReconKernel.CUBIC])
+def test_memoized_solve_matches_unmemoized(packet, recon):
+    cfg = _cfg(mode=FBP(recon))
+    theta, trace = lbfgs_maximize(cfg, packet, np.zeros(3))
+    x, ref = _unmemoized_solve(cfg, packet, [])
+    assert np.array_equal(np.array(trace.thetas), np.array(ref.thetas))
+    assert trace.values == [-v for v in ref.values]
+    assert np.array_equal(trace.grad_norms, ref.grad_norms)
+    assert np.array_equal(theta, x)
+    assert (trace.reason, trace.converged) == (ref.reason, ref.converged)
+
+
+def test_trace_counts_real_evaluations(packet, monkeypatch):
+    """f_evals and g_evals count warps and VJPs; repeats of the last theta are served from the memo."""
+    from funcbin import estimator
+
+    cfg = _cfg()
+    calls = []
+    _unmemoized_solve(cfg, packet, calls)
+    # a memo of the last theta evaluates when theta changes, and completes the
+    # gradient once for each run of calls at one theta that asks for it
+    runs = [[calls[0]]]
+    for c in calls[1:]:
+        if c[1] == runs[-1][-1][1]:
+            runs[-1].append(c)
+        else:
+            runs.append([c])
+    expect_f = len(runs)
+    expect_g = sum(any(kind == "g" for kind, _ in run) for run in runs)
+
+    counts = {"warp": 0, "bin_vjp": 0}
+    for name in counts:
+        real = getattr(estimator, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, name, counting)
+    _, trace = lbfgs_maximize(cfg, packet, np.zeros(3))
+    assert (trace.f_evals, trace.g_evals) == (counts["warp"], counts["bin_vjp"])
+    assert (trace.f_evals, trace.g_evals) == (expect_f, expect_g)
+    n_f_calls = sum(kind == "f" for kind, _ in calls)
+    assert trace.f_evals < n_f_calls and trace.g_evals < len(calls) - n_f_calls
+
+
 def test_naive_rect_makes_no_progress(packet):
     cfg = _cfg(mode=Naive())
     theta, trace = lbfgs_maximize(cfg, packet, np.zeros(3))

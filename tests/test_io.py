@@ -135,6 +135,18 @@ def test_synth_noiseless_collapse():
     assert len(uniq) == scene.n_points
 
 
+def test_synth_translational_collapse():
+    """The translational warp with the planted velocity, vz included, maps events onto their features."""
+    scene = SyntheticScene(seed=6, n_points=8, events_per_point=12, motion=MotionParams("trans", (0.5, -0.3, 0.8)))
+    pkt, truth = packet_from_scene(scene)
+    res = warp(pkt, "trans", np.array(truth.vec))
+    pts = np.stack([res.points.xs, res.points.ys], axis=1)
+    feats = np.unique(np.round(pts, 9), axis=0)
+    assert len(feats) == scene.n_points
+    nearest = np.min(np.linalg.norm(pts[:, None, :] - feats[None, :, :], axis=2), axis=1)
+    assert nearest.max() < 1e-9
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_sharpness_at_truth(seed):
     scene = SyntheticScene(seed=seed, n_points=15, events_per_point=8)

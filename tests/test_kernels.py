@@ -18,6 +18,9 @@ from funcbin.kernels import (
     kernel_mass,
     numeric_convolve_oracle,
 )
+from funcbin.kernels import _ANTIDERS
+
+import kernel_oracle
 
 ALL_PAIRS = [(k, l) for k in BinningKernel for l in ReconKernel]
 
@@ -91,6 +94,25 @@ def test_kappa_linear_linear_closed_form_points():
     sk = synthesize_kappa(BinningKernel.LINEAR, ReconKernel.LINEAR)
     assert abs(sk.kappa(0.0) - 2.0 / 3.0) < 1e-12
     assert abs(sk.kappa(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "k,oracle",
+    [(BinningKernel.RECT, kernel_oracle.rect_antider), (BinningKernel.GAUSS_TRUNC, kernel_oracle.gauss_antider)],
+)
+def test_closed_form_antiderivatives_match_mask_oracle(k, oracle):
+    """The np.where antiderivatives, and the kappa built from them, give the mask versions' bits."""
+    rng = np.random.default_rng(5)
+    edges = np.array([-3.5, -2.5, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5])
+    t = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), rng.uniform(-4, 4, 20_000)])
+    for order in (1, 2):
+        got, want = _ANTIDERS[k](t, order), oracle(t, order)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), order
+    sk = synthesize_kappa(k, ReconKernel.LINEAR)
+    for order, fn in ((2, sk.kappa), (1, sk.kappa_prime)):
+        want = oracle(t + 1.0, order) - 2.0 * oracle(t, order) + oracle(t - 1.0, order)
+        want = np.where(np.abs(t) >= sk.support_radius, 0.0, want)
+        assert np.array_equal(fn(t).view(np.uint64), want.view(np.uint64)), order
 
 
 @pytest.mark.parametrize("k,l", ALL_PAIRS)

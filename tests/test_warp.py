@@ -14,6 +14,8 @@ from funcbin import (
     warp_translational,
 )
 
+import warp_oracle
+
 
 def _packet(n=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -92,6 +94,23 @@ def test_jacobian_matches_fd(model):
         fd_y = (rp.points.ys - rm.points.ys) / (2 * eps)
         np.testing.assert_allclose(res.jacobian[:, 0, j], fd_x, atol=1e-5)
         np.testing.assert_allclose(res.jacobian[:, 1, j], fd_y, atol=1e-5)
+
+
+@pytest.mark.parametrize("model", ["rot", "trans"])
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("guard", [1e-6, 1.0])
+def test_jacobian_matches_dense_oracle(model, project, guard):
+    """The column-by-column Jacobian gives the dense einsum construction's bits."""
+    pkt = _packet(n=500, seed=4)
+    for theta in ([0.8, -0.4, 1.1], [30.0, -12.0, 45.0], [0.0, 0.0, 0.0]):
+        res = warp(pkt, model, theta, project=project, guard=guard)
+        if project and guard == 1.0 and any(theta):
+            assert 0 < res.n_excluded < len(pkt)  # the guard excludes some events
+        want = warp_oracle.jacobian(pkt, model, theta, project=project, guard=guard)
+        J = res.jacobian
+        assert J.shape == (len(res.points), 2, 3)
+        assert np.array_equal(J.view(np.uint64), want.view(np.uint64))
+        assert res.jacobian is J  # built once
 
 
 def test_projection_guard_excludes_events():
