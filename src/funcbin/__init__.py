@@ -29,7 +29,6 @@ from .kernels import (
     SynthesizedKernel,
     eval_binning_kernel,
     eval_recon_kernel,
-    numeric_convolve_oracle,
     synthesize_kappa,
 )
 from .objectives import NBParams, ScoreKind, adjoint, score, score_loglik, score_variance
@@ -46,6 +45,7 @@ from .warp import (
 )
 from .estimator import (
     LbfgsOptions,
+    LineSearch,
     ObjectiveConfig,
     OptTrace,
     lbfgs_maximize,
@@ -55,10 +55,12 @@ from .estimator import (
 )
 from .analysis import BiasReport, bias_grid, compare_surrogates, degree_of_precision, fd_gradient
 from .events_io import (
+    EventColumns,
     SyntheticScene,
     packet_from_scene,
     packetize,
     read_events_txt,
+    synth_columns,
     synth_events,
     write_events_txt,
 )

@@ -11,13 +11,12 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .binning import GradMode
-from .errors import LengthMismatchError
 from .estimator import ObjectiveConfig, objective_grad, objective_value
 from .kernels import (
     BINNING_SUPPORT,
@@ -49,7 +48,8 @@ def fd_objective_gradient(cfg: ObjectiveConfig, packet: EventPacket, theta, step
     return fd_gradient(lambda th: objective_value(cfg, packet, th), theta, step)
 
 
-def _mode_name(mode: GradMode) -> str:
+def mode_name(mode: GradMode) -> str:
+    """The label of a gradient rule in reports: naive, fbp-<recon>, ste or sigmoid."""
     from .binning import FBP, Naive, STE, Sigmoid
 
     if isinstance(mode, Naive):
@@ -164,7 +164,7 @@ def bias_grid(
         an = np.empty_like(thetas)
         for i, th in enumerate(thetas):
             an[i] = objective_grad(mcfg, packet, th)
-        analytic[_mode_name(mode)] = an
+        analytic[mode_name(mode)] = an
     return BiasReport(thetas, fd, analytic, fd_step)
 
 

@@ -18,7 +18,7 @@ Contributions falling outside the grid are dropped, not clamped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
-from .analysis import bias_grid, degree_of_precision, fd_objective_gradient
+from .analysis import bias_grid, degree_of_precision, fd_objective_gradient, mode_name
 from .binning import FBP, FrameGrid, Naive, STE, Sigmoid, WeightedPoints, bin_forward
 from .errors import FuncbinError
-from .estimator import LbfgsOptions, ObjectiveConfig, lbfgs_maximize, objective_grad, rms_error
+from .estimator import ObjectiveConfig, lbfgs_maximize, objective_grad, rms_error
 from .events_io import (
     SyntheticScene,
     packetize,
@@ -109,10 +110,8 @@ def _auto_scale(args, events) -> float:
     """Fit the event bounding box into the grid interior with a 5% margin."""
     if args.scale is not None:
         return args.scale
-    xs = np.array([e.x for e in events])
-    ys = np.array([e.y for e in events])
-    span_x = float(xs.max() - xs.min()) or 1.0
-    span_y = float(ys.max() - ys.min()) or 1.0
+    span_x = float(events.xs.max() - events.xs.min()) or 1.0
+    span_y = float(events.ys.max() - events.ys.min()) or 1.0
     gx = args.width * args.delta
     gy = args.height * args.delta
     return 0.9 * min(gx / span_x, gy / span_y)
@@ -122,7 +121,7 @@ def _require_infile(args):
     if args.infile is None:
         raise FuncbinError("missing required --in events file")
     events = read_events_txt(args.infile)
-    if not events:
+    if len(events) == 0:
         raise FuncbinError(f"no events in {args.infile}")
     return events
 
@@ -139,10 +138,8 @@ def cmd_bin(args) -> int:
     events = _require_infile(args)
     scale = _auto_scale(args, events)
     grid = FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y))
-    xs = scale * np.array([e.x for e in events])
-    ys = scale * np.array([e.y for e in events])
-    ws = np.ones(len(events))
-    frame = bin_forward(WeightedPoints(xs, ys, ws), grid, _KERNELS[args.kernel])
+    pts = WeightedPoints(scale * events.xs, scale * events.ys, np.ones(len(events)))
+    frame = bin_forward(pts, grid, _KERNELS[args.kernel])
     out = args.out or "frame.csv"
     _write_frame_csv(out, frame)
     print(f"wrote {out}: {grid.width}x{grid.height} frame, mass {frame.values.sum():.6f}, scale {scale:.6g}")
@@ -156,8 +153,6 @@ def cmd_grad(args) -> int:
     if not packets:
         raise FuncbinError("no complete packet in input")
     packet = packets[0]
-    from dataclasses import replace
-
     cfg = _config(args)
     if args.scale is None:
         cfg = replace(cfg, scale=_auto_scale(args, events))
@@ -169,7 +164,7 @@ def cmd_grad(args) -> int:
         row = {"theta": list(th), "fd": list(fd)}
         for mode in _all_modes(args):
             an = objective_grad(replace(cfg, mode=mode), packet, th)
-            row[_mode_label(mode)] = list(an)
+            row[mode_name(mode)] = list(an)
         report.append(row)
     text = json.dumps({"fd_step": args.fd_step, "points": report}, indent=2)
     if args.out:
@@ -181,12 +176,6 @@ def cmd_grad(args) -> int:
     return 0
 
 
-def _mode_label(mode) -> str:
-    from .analysis import _mode_name
-
-    return _mode_name(mode)
-
-
 def cmd_bias(args) -> int:
     """Run the parameter-grid bias report over all gradient modes."""
     events = _require_infile(args)
@@ -195,8 +184,6 @@ def cmd_bias(args) -> int:
         raise FuncbinError("no complete packet in input")
     cfg = _config(args)
     if args.scale is None:
-        from dataclasses import replace
-
         cfg = replace(cfg, scale=_auto_scale(args, events))
     report = bias_grid(
         cfg, packets[0], _all_modes(args), args.grid_lo, args.grid_hi, args.grid_n, args.fd_step
@@ -221,10 +208,9 @@ def cmd_estimate(args) -> int:
     packets = packetize(events, ne)
     if not packets:
         raise FuncbinError(f"no complete packet of {ne} events in input")
+    truths = read_truth_txt(args.truth) if args.truth else None
     cfg = _config(args)
     if args.scale is None:
-        from dataclasses import replace
-
         cfg = replace(cfg, scale=_auto_scale(args, events))
     per_packet = []
     estimates = []
@@ -241,6 +227,7 @@ def cmd_estimate(args) -> int:
                 "reason": trace.reason,
                 "f_evals": trace.f_evals,
                 "g_evals": trace.g_evals,
+                "line_search": [ls._asdict() for ls in trace.line_searches],
             }
         )
     result = {
@@ -257,8 +244,7 @@ def cmd_estimate(args) -> int:
         "n_packets": len(packets),
         "per_packet": per_packet,
     }
-    if args.truth:
-        truths = read_truth_txt(args.truth)
+    if truths is not None:
         n = min(len(truths), len(estimates))
         result["rms"] = rms_error(estimates[:n], truths[:n], to_degrees=(args.model == "rot"))
         result["rms_unit"] = "deg/s" if args.model == "rot" else "units/s"

@@ -13,6 +13,10 @@ class LengthMismatchError(FuncbinError):
     """Parallel arrays disagree in length."""
 
 
+class NonFiniteThetaError(FuncbinError, ValueError):
+    """Motion parameters passed to a warp contain NaN or infinity."""
+
+
 class ShapeMismatchError(FuncbinError):
     """An adjoint or frame does not match the grid shape."""
 

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import line_search
 
-from .binning import Frame, FrameGrid, GradMode, Naive, WeightedPoints, bin_forward, bin_vjp
+from .binning import Frame, FrameGrid, GradMode, WeightedPoints, bin_forward, bin_vjp
 from .errors import LengthMismatchError
 from .kernels import BinningKernel
 from .objectives import ScoreKind, adjoint, score
@@ -97,14 +98,32 @@ def objective_grad(cfg: ObjectiveConfig, packet: EventPacket, theta) -> np.ndarr
 # --- optimizer --------------------------------------------------------------
 
 
+class LineSearch(NamedTuple):
+    """How one iteration's line search ended.
+
+    ``outcome`` is "wolfe" (scipy's strong-Wolfe search found the step),
+    "armijo" (the backtracking fallback found it) or "failure" (neither did,
+    and the run stops). ``alpha`` is the step length taken (None on
+    failure), ``f_calls`` the objective calls both searches made, memo hits
+    included, and ``restart`` whether the L-BFGS history was dropped for a
+    steepest-descent direction first.
+    """
+
+    outcome: str
+    alpha: float | None
+    f_calls: int
+    restart: bool
+
+
 @dataclass
 class OptTrace:
-    """Accepted iterates of one optimization run.
+    """Accepted iterates of one optimization run, and the line search of each iteration.
 
     ``f_evals`` counts the objective evaluations (warp and forward binning)
     that ``lbfgs_maximize`` made and ``g_evals`` the gradients it completed;
     repeats served from its memo are not counted. Both stay 0 when
-    ``_lbfgs_minimize`` is called with plain functions.
+    ``_lbfgs_minimize`` is called with plain functions. ``line_searches``
+    holds one ``LineSearch`` per iteration, the failed last one included.
     """
 
     thetas: list = field(default_factory=list)
@@ -115,6 +134,7 @@ class OptTrace:
     reason: str = "max_iter"
     f_evals: int = 0
     g_evals: int = 0
+    line_searches: list = field(default_factory=list)
 
     def record(self, theta, value, gnorm, t):
         self.thetas.append(np.array(theta, dtype=float))
@@ -158,11 +178,13 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
             trace.reason = "grad_tol"
             break
         d = _two_loop_direction(gx, s_hist, y_hist)
-        if np.dot(d, gx) >= 0:  # not a descent direction; restart
+        restart = bool(np.dot(d, gx) >= 0)
+        if restart:  # not a descent direction
             d = -gx
             s_hist.clear()
             y_hist.clear()
-        alpha = _wolfe_step(f, g, x, d, fx, gx, opts)
+        alpha, outcome, f_calls = _wolfe_step(f, g, x, d, fx, gx, opts)
+        trace.line_searches.append(LineSearch(outcome, alpha, f_calls, restart))
         if alpha is None:
             trace.reason = "line_search_failure"
             break
@@ -211,21 +233,22 @@ def _two_loop_direction(gx, s_hist, y_hist) -> np.ndarray:
     return -q
 
 
-def _wolfe_step(f, g, x, d, fx, gx, opts: LbfgsOptions):
+def _wolfe_step(f, g, x, d, fx, gx, opts: LbfgsOptions) -> tuple[float | None, str, int]:
+    """(step length or None, outcome, f calls made) of one line search along d."""
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = line_search(f, g, x, d, gfk=gx, old_fval=fx, c1=opts.c1, c2=opts.c2, maxiter=30)
-    alpha = res[0]
+        alpha, f_calls, *_ = line_search(f, g, x, d, gfk=gx, old_fval=fx, c1=opts.c1, c2=opts.c2, maxiter=30)
     if alpha is not None and alpha > 0:
-        return alpha
+        return float(alpha), "wolfe", f_calls
     # Armijo backtracking fallback
     slope = np.dot(gx, d)
     alpha = 1.0
     for _ in range(40):
+        f_calls += 1
         if f(x + alpha * d) <= fx + opts.c1 * alpha * slope:
-            return alpha
+            return alpha, "armijo", f_calls
         alpha *= 0.5
-    return None
+    return None, "failure", f_calls
 
 
 def lbfgs_maximize(

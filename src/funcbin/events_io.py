@@ -3,11 +3,20 @@
 File format: ASCII, one event per line, "t x y p" with t in seconds and
 p in {0, 1} (0 maps to polarity -1). Blank lines and lines starting with
 '#' are skipped. Coordinates may be real-valued.
+
+Streams are held as columns, not as one object per event:
+``read_events_txt`` and ``synth_columns`` return an ``EventColumns`` with
+contiguous float64 ``ts``, ``xs``, ``ys`` and int64 polarities ``ps`` in
+{-1, +1}, and ``packetize`` slices those columns into ``EventPacket``s.
+``synth_events`` gives the same stream as ``Event`` rows, which is what
+``write_events_txt`` takes.
 """
 
 from __future__ import annotations
 
 import logging
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +27,33 @@ from .errors import ParseError
 log = logging.getLogger(__name__)
 
 
-def read_events_txt(path) -> list[Event]:
-    """Parse an events text file; raises ParseError with the line number."""
-    events: list[Event] = []
-    last_t = None
+@dataclass(frozen=True)
+class EventColumns:
+    """An event stream as four parallel columns; ``len()`` is the number of events."""
+
+    ts: np.ndarray  # float64
+    xs: np.ndarray  # float64
+    ys: np.ndarray  # float64
+    ps: np.ndarray  # int64, -1 or +1
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+
+def read_events_txt(path) -> EventColumns:
+    """Parse an events text file into columns; raises ParseError with the line number.
+
+    The file is read line by line into typed buffers, so no per-event object
+    is made. Each field goes through ``float()`` or ``int()``.
+    """
+    ts, xs, ys, ps = array("d"), array("d"), array("d"), array("q")
+    last_t = -math.inf
     warned = False
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if len(parts) != 4:
                 raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
             try:
@@ -38,14 +63,19 @@ def read_events_txt(path) -> list[Event]:
                 p = int(parts[3])
             except ValueError as exc:
                 raise ParseError(path, lineno, str(exc)) from exc
-            if p not in (0, 1):
+            if p != 0 and p != 1:
                 raise ParseError(path, lineno, f"polarity field must be 0 or 1, got {p}")
-            if last_t is not None and t < last_t and not warned:
+            if not math.isfinite(t):
+                raise ParseError(path, lineno, "timestamp must be finite")
+            if t < last_t and not warned:
                 log.warning("%s:%d: non-monotonic timestamp %r", path, lineno, t)
                 warned = True
             last_t = t
-            events.append(Event(t=t, x=x, y=y, polarity=-1 if p == 0 else 1))
-    return events
+            ts.append(t)
+            xs.append(x)
+            ys.append(y)
+            ps.append(2 * p - 1)
+    return EventColumns(np.frombuffer(ts), np.frombuffer(xs), np.frombuffer(ys), np.frombuffer(ps, dtype=np.int64))
 
 
 def write_events_txt(path, events) -> None:
@@ -64,6 +94,11 @@ def write_truth_txt(path, truths: list[MotionParams]) -> None:
 
 
 def read_truth_txt(path) -> list[np.ndarray]:
+    """The motion vector of each packet, in packet order.
+
+    The index column must count 0, 1, 2, ..., so that truth i is the truth
+    of packet i; a line that breaks the count raises ParseError.
+    """
     out = []
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -73,17 +108,29 @@ def read_truth_txt(path) -> list[np.ndarray]:
             parts = line.split()
             if len(parts) != 4:
                 raise ParseError(path, lineno, f"expected 4 fields, got {len(parts)}")
-            out.append(np.array([float(p) for p in parts[1:]]))
+            try:
+                index = int(parts[0])
+                vec = np.array([float(p) for p in parts[1:]])
+            except ValueError as exc:
+                raise ParseError(path, lineno, str(exc)) from exc
+            if index != len(out):
+                raise ParseError(path, lineno, f"packet index must be {len(out)}, got {index}")
+            out.append(vec)
     return out
 
 
-def packetize(events, n_e: int, policy: RefTimePolicy = RefTimePolicy.MEAN) -> list[EventPacket]:
-    """Split into consecutive packets of exactly n_e events; remainder dropped."""
+def packetize(events: EventColumns, n_e: int, policy: RefTimePolicy = RefTimePolicy.MEAN) -> list[EventPacket]:
+    """Split into consecutive packets of exactly n_e events; remainder dropped.
+
+    Each packet holds slices (views) of the stream's columns.
+    """
     if n_e < 1:
         raise ValueError(f"n_e must be >= 1, got {n_e}")
     packets = []
     for start in range(0, len(events) - n_e + 1, n_e):
-        packets.append(EventPacket.from_events(events[start : start + n_e], policy))
+        s = slice(start, start + n_e)
+        ts = events.ts[s]
+        packets.append(EventPacket(ts, events.xs[s], events.ys[s], events.ps[s], reference_time(ts, policy)))
     return packets
 
 
@@ -106,54 +153,50 @@ class SyntheticScene:
     extent: tuple[float, float, float, float] = (0.3, 1.7, 0.3, 1.2)
 
 
-def _inverse_rot(feature_xy: np.ndarray, omega: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Event coordinates whose rotational warp projects back onto the feature."""
-    n = len(dt)
-    P = np.concatenate([feature_xy, [1.0]])
-    out = np.empty((n, 2))
-    wx, wy, wz = omega
-    skew = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-    for i in range(n):
-        A = np.eye(3) + dt[i] * skew
-        Xe = np.linalg.solve(A, P)
-        out[i] = Xe[:2] / Xe[2]
-    return out
+def synth_columns(scene: SyntheticScene) -> tuple[EventColumns, MotionParams]:
+    """Generate an event stream with planted ground-truth motion, as time-sorted columns."""
+    rng = np.random.default_rng(scene.seed)
+    x0, x1, y0, y1 = scene.extent
+    n, m = scene.n_points, scene.events_per_point
+    feats = np.stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)], axis=1)
+    # uniformly spaced timestamps per feature with a random phase
+    base = np.arange(m) / m * scene.duration
+    phases = rng.uniform(0.0, scene.duration / m, n)
+    ts = phases[:, None] + base[None, :]  # (feature, event)
+    t_ref = float(np.mean(ts))
+    theta = np.asarray(scene.motion.vec)
+    dt = t_ref - ts
+    if scene.motion.model == "rot":
+        # solve (I + dt [omega]x) X = (feature, 1) for every event in one stacked
+        # call; LAPACK factors each 3 x 3 matrix on its own
+        wx, wy, wz = theta
+        skew = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
+        A = np.eye(3) + dt[:, :, None, None] * skew
+        P = np.concatenate([feats, np.ones((n, 1))], axis=1)
+        X = np.linalg.solve(A, np.broadcast_to(P[:, None, :, None], (n, m, 3, 1)))[..., 0]
+        xy = X[..., :2] / X[..., 2:]
+    else:
+        # invert warp_translational: (xy + dt v[:2]) / (1 + dt vz) = feature
+        xy = feats[:, None, :] * (1.0 + dt[:, :, None] * theta[2]) - dt[:, :, None] * theta[:2]
+    # per feature, the jitter draw and then the polarity draw
+    pols = np.empty((n, m), dtype=np.int64)
+    for f in range(n):
+        if scene.noise_std > 0:
+            xy[f] = xy[f] + rng.normal(0.0, scene.noise_std, (m, 2))
+        pols[f] = rng.choice([-1, 1], m)
+    order = np.argsort(ts.ravel(), kind="stable")
+    xy = xy.reshape(-1, 2)
+    return EventColumns(ts.ravel()[order], xy[order, 0], xy[order, 1], pols.ravel()[order]), scene.motion
 
 
 def synth_events(scene: SyntheticScene) -> tuple[list[Event], MotionParams]:
-    """Generate an event stream with planted ground-truth motion."""
-    rng = np.random.default_rng(scene.seed)
-    x0, x1, y0, y1 = scene.extent
-    feats = np.stack(
-        [rng.uniform(x0, x1, scene.n_points), rng.uniform(y0, y1, scene.n_points)], axis=1
-    )
-    m = scene.events_per_point
-    # uniformly spaced timestamps per feature with a random phase
-    base = np.arange(m) / m * scene.duration
-    phases = rng.uniform(0.0, scene.duration / m, scene.n_points)
-    ts_all = phases[:, None] + base[None, :]
-    t_ref = float(np.mean(ts_all))
-    theta = np.asarray(scene.motion.vec)
-
-    records = []
-    for f in range(scene.n_points):
-        dt = t_ref - ts_all[f]
-        if scene.motion.model == "rot":
-            xy = _inverse_rot(feats[f], theta, dt)
-        else:
-            # invert warp_translational: (xy + dt v[:2]) / (1 + dt vz) = feature
-            xy = feats[f][None, :] * (1.0 + dt[:, None] * theta[2]) - dt[:, None] * theta[None, :2]
-        if scene.noise_std > 0:
-            xy = xy + rng.normal(0.0, scene.noise_std, xy.shape)
-        pols = rng.choice([-1, 1], m)
-        for i in range(m):
-            records.append((ts_all[f, i], xy[i, 0], xy[i, 1], pols[i]))
-    records.sort(key=lambda r: r[0])
-    events = [Event(t=t, x=x, y=y, polarity=int(p)) for t, x, y, p in records]
-    return events, scene.motion
+    """``synth_columns`` as a time-sorted list of ``Event`` rows."""
+    cols, motion = synth_columns(scene)
+    rows = zip(cols.ts.tolist(), cols.xs.tolist(), cols.ys.tolist(), cols.ps.tolist())
+    return [Event(t, x, y, p) for t, x, y, p in rows], motion
 
 
 def packet_from_scene(scene: SyntheticScene, policy: RefTimePolicy = RefTimePolicy.MEAN):
     """Convenience: one packet holding the entire synthetic stream."""
-    events, truth = synth_events(scene)
-    return EventPacket.from_events(events, policy), truth
+    cols, truth = synth_columns(scene)
+    return packetize(cols, len(cols), policy)[0], truth

@@ -51,21 +51,6 @@ RECON_SUPPORT = {
     ReconKernel.LANCZOS: 2.0,
 }
 
-# Interior discontinuities / kinks of each binning kernel, used to split
-# quadrature domains so trapezoid rules stay accurate across jumps.
-_BINNING_BREAKS = {
-    BinningKernel.RECT: (-0.5, 0.5),
-    BinningKernel.LINEAR: (-1.0, 0.0, 1.0),
-    BinningKernel.GAUSS_TRUNC: (-1.5, 1.5),
-}
-
-_RECON_BREAKS = {
-    ReconKernel.LINEAR: (-1.0, 0.0, 1.0),
-    ReconKernel.CUBIC: (-2.0, -1.0, 0.0, 1.0, 2.0),
-    ReconKernel.LANCZOS: (-2.0, 2.0),
-}
-
-
 def eval_binning_kernel(kind: BinningKernel, x) -> np.ndarray:
     """Evaluate the binning kernel k at x (vectorized, exact zero outside support).
 
@@ -165,10 +150,11 @@ class SynthesizedKernel:
 
 # The antiderivatives below are piecewise. Where evaluating every piece's
 # formula on every element and picking with np.where is faster than
-# gathering each piece's elements through a boolean mask, they do that; the
-# per-element formulas, and so the results, are the same either way. The
-# cubic pieces of the triangle and the erf piece of the Gaussian's K2 are
-# dearer than the gathers, so those keep their masks.
+# gathering each piece's elements through a boolean mask, they do that, with
+# the same per-element formulas and so the same results, except that the
+# triangle's K2 cubes by products where the masks used pow (the rounding
+# differs; see tests/kernel_oracle.py). The erf piece of the Gaussian's K2 is
+# dearer than the gathers, so it keeps its masks.
 
 
 def _rect_antider(t: np.ndarray, order: int) -> np.ndarray:
@@ -186,17 +172,11 @@ def _linear_antider(t: np.ndarray, order: int) -> np.ndarray:
         core = 0.5 + s * (np.minimum(a, 1.0) - 0.5 * np.minimum(a, 1.0) ** 2)
         return core
     # second antiderivative of the triangle, vanishing for t <= -1
-    out = np.empty_like(t)
-    lo = t <= -1.0
-    hi = t >= 1.0
-    neg = (~lo) & (t < 0.0)
-    pos = (~hi) & (t >= 0.0)
-    out[lo] = 0.0
-    out[neg] = (t[neg] + 1.0) ** 3 / 6.0
-    tp = t[pos]
-    out[pos] = 1.0 / 6.0 + 0.5 * tp + 0.5 * tp**2 - tp**3 / 6.0
-    out[hi] = t[hi]  # K2(1) = 1, slope 1 beyond
-    return out
+    u = t + 1.0
+    neg = u * u * u / 6.0
+    pos = 1.0 / 6.0 + 0.5 * t + 0.5 * t * t - t * t * t / 6.0
+    # K2(1) = 1, slope 1 beyond
+    return np.where(t <= -1.0, 0.0, np.where(t < 0.0, neg, np.where(t < 1.0, pos, t)))
 
 
 def _gauss_phi(t: np.ndarray) -> np.ndarray:
@@ -326,53 +306,3 @@ def synthesize_kappa(k_kind: BinningKernel, l_kind: ReconKernel) -> SynthesizedK
     if l_kind == ReconKernel.LINEAR:
         return _ClosedFormKernel(k_kind, l_kind)
     return _TabulatedKernel(k_kind, l_kind)
-
-
-def numeric_convolve_oracle(k_kind: BinningKernel, l_kind: ReconKernel, xs, step: float = 1e-4):
-    """Independent trapezoid-rule evaluation of integral l(y) k(x - y) dy.
-
-    The y-domain is split at every discontinuity of l(y) and of k(x - y) so
-    the trapezoid rule sees only smooth pieces. Intended for tests.
-    """
-    rl = RECON_SUPPORT[l_kind]
-    out = []
-    for x in np.atleast_1d(np.asarray(xs, dtype=float)):
-        brks = set(_RECON_BREAKS[l_kind])
-        for e in _BINNING_BREAKS[k_kind]:
-            y = x - e
-            if -rl < y < rl:
-                brks.add(y)
-        brks.update((-rl, rl))
-        pts = sorted(brks)
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            if b - a < 1e-12:
-                continue
-            n = max(int(np.ceil((b - a) / step)), 2)
-            ys = np.linspace(a, b, n + 1)
-            # evaluate just inside the piece so jumps at the edges use limits
-            ye = np.clip(ys, a + 1e-12, b - 1e-12)
-            total += np.trapezoid(eval_recon_kernel(l_kind, ye) * eval_binning_kernel(k_kind, x - ye), ys)
-        out.append(total)
-    return np.asarray(out)
-
-
-def kernel_mass(kind: BinningKernel, step: float = 1e-5) -> float:
-    """Quadrature mass of the binning kernel over its support."""
-    r = BINNING_SUPPORT[kind]
-    n = int(np.ceil(2 * r / step))
-    if n % 2 == 1:
-        n += 1
-    xs = np.linspace(-r, r, n + 1)
-    vals = eval_binning_kernel(kind, np.clip(xs, -r + 1e-12, r - 1e-12))
-    return float(simpson(vals, x=xs))
-
-
-def kappa_mass(sk: SynthesizedKernel, step: float = 1e-5) -> float:
-    """Quadrature mass of kappa over its support."""
-    r = sk.support_radius
-    n = int(np.ceil(2 * r / step))
-    if n % 2 == 1:
-        n += 1
-    xs = np.linspace(-r, r, n + 1)
-    return float(simpson(sk.kappa(xs), x=xs))

@@ -14,6 +14,7 @@ one column over the kept events.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,14 +22,14 @@ from enum import Enum
 import numpy as np
 
 from .binning import WeightedPoints
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, NonFiniteThetaError
 
 PROJECTION_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """A single sensor spike."""
+    """A single sensor spike: the row type of ``synth_events`` and ``write_events_txt``."""
 
     t: float
     x: float
@@ -38,7 +39,7 @@ class Event:
     def __post_init__(self):
         if self.polarity not in (-1, 1):
             raise ValueError(f"polarity must be -1 or +1, got {self.polarity}")
-        if not np.isfinite(self.t):
+        if not math.isfinite(self.t):
             raise ValueError("timestamp must be finite")
 
 
@@ -93,14 +94,6 @@ class EventPacket:
     def __len__(self) -> int:
         return len(self.ts)
 
-    @classmethod
-    def from_events(cls, events, policy: RefTimePolicy = RefTimePolicy.MEAN) -> "EventPacket":
-        ts = np.array([e.t for e in events], dtype=float)
-        xs = np.array([e.x for e in events], dtype=float)
-        ys = np.array([e.y for e in events], dtype=float)
-        ps = np.array([e.polarity for e in events], dtype=int)
-        return cls(ts, xs, ys, ps, reference_time(ts, policy))
-
 
 @dataclass(frozen=True)
 class MotionParams:
@@ -136,6 +129,13 @@ class WarpResult:
         J = self._build_jacobian()
         self._build_jacobian = None  # let the intermediates go
         return J
+
+
+def _motion_vector(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise NonFiniteThetaError(f"motion parameters theta must be finite, got {theta.tolist()}")
+    return theta
 
 
 def _event_weights(packet: EventPacket, weight_mode: str) -> np.ndarray:
@@ -188,7 +188,7 @@ def warp_rotational(
     followed by the perspective divide. Events whose projection denominator
     falls under the guard are excluded and counted.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = _motion_vector(omega)
     dt = packet.t_ref - packet.ts
     X = np.stack([packet.xs, packet.ys, np.ones(len(packet))], axis=1)
     c = np.cross(np.broadcast_to(omega, X.shape), X)
@@ -226,7 +226,7 @@ def warp_translational(
     guard: float = PROJECTION_GUARD,
 ) -> WarpResult:
     """Translate homogeneous event coordinates by the linear-velocity model."""
-    v = np.asarray(v, dtype=float)
+    v = _motion_vector(v)
     dt = packet.t_ref - packet.ts
     X = np.stack([packet.xs, packet.ys, np.ones(len(packet))], axis=1)
     h = X + dt[:, None] * v[None, :]

@@ -22,7 +22,6 @@ from funcbin import (
     Sigmoid,
     ScoreKind,
     WeightedPoints,
-    bin_forward,
     bin_jvp,
     bin_vjp,
     bias_grid,
@@ -33,7 +32,7 @@ from funcbin import (
     synthesize_kappa,
 )
 from funcbin.events_io import SyntheticScene, packet_from_scene, packetize, read_events_txt
-from funcbin.kernels import kappa_mass, kernel_mass, numeric_convolve_oracle
+from kernel_oracle import kappa_mass, kernel_mass, numeric_convolve_oracle
 
 GRID = FrameGrid(200, 150, 0.01)
 ALL_MODES = [
@@ -273,8 +272,7 @@ def test_external_events_pipeline():
         pytest.skip("no external events file supplied")
     events = read_events_txt(path)
     packets = packetize(events, 20000)
-    xs = np.array([e.x for e in events])
-    ys = np.array([e.y for e in events])
+    xs, ys = events.xs, events.ys
     scale = 0.9 * min(2.0 / max(np.ptp(xs), 1.0), 1.5 / max(np.ptp(ys), 1.0))
     cfg = ObjectiveConfig(
         BinningKernel.RECT, FBP(ReconKernel.LINEAR), ScoreKind("var"), GRID, scale=scale

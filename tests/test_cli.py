@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -65,6 +66,10 @@ def test_estimate_default_ne_fits_short_stream(events_file, tmp_path):
     row = result["per_packet"][0]
     # real evaluations: every iterate is a warp and a gradient, plus the line searches' trials
     assert row["f_evals"] >= row["g_evals"] >= row["iterations"] + 1
+    searches = row["line_search"]
+    assert len(searches) == row["iterations"] + (row["reason"] == "line_search_failure")
+    assert set(searches[0]) == {"outcome", "alpha", "f_calls", "restart"}
+    assert all(ls["outcome"] in ("wolfe", "armijo", "failure") for ls in searches)
     assert result["rms"] < 0.02 * np.degrees(np.linalg.norm([0.5, -0.3, 0.8]))
 
 
@@ -134,6 +139,30 @@ def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--kernel", "cauchy"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "model,sha256",
+    [
+        ("rot", "ab8d21294d419b9156a62e4ba9fa1875782d999a0860481fa2b2ff615de5f747"),
+        ("trans", "bdb1b8be3e05c9037e685bac922086a7cbdaa2266f0c54cb401ed8c7f916be26"),
+    ],
+)
+def test_synth_golden_bytes(tmp_path, model, sha256):
+    """The synthesized stream keeps its bytes: planted-truth baselines were measured on them."""
+    path = tmp_path / "e.txt"
+    assert main(["synth", "--seed", "9", "--model", model, "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_estimate_rejects_misnumbered_truth(events_file, tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("1 0.5 -0.3 0.8\n")
+    rc = main(["estimate", "--in", str(events_file), "--truth", str(truth)])
+    assert rc == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert parsed["error"] == "ParseError"
+    assert parsed["message"] == f"{truth}:1: packet index must be 0, got 1"
 
 
 def test_synth_deterministic_bytes(tmp_path):

@@ -126,6 +126,32 @@ def test_memoized_solve_matches_unmemoized(packet, recon):
     assert np.array_equal(trace.grad_norms, ref.grad_norms)
     assert np.array_equal(theta, x)
     assert (trace.reason, trace.converged) == (ref.reason, ref.converged)
+    assert trace.line_searches == ref.line_searches
+
+
+@pytest.mark.parametrize(
+    "kernel,mode,scene_seed",
+    [
+        (BinningKernel.RECT, FBP(ReconKernel.LINEAR), None),  # Wolfe steps, then Armijo fallbacks
+        (BinningKernel.RECT, Sigmoid(), None),
+        (BinningKernel.LINEAR, FBP(ReconKernel.LINEAR), 3),  # stops with line_search_failure (ROADMAP D)
+    ],
+)
+def test_line_search_record(packet, kernel, mode, scene_seed):
+    """One record per iteration; the f calls of the searches, the start and the accepted steps are every f call."""
+    if scene_seed is not None:
+        packet, _ = packet_from_scene(SyntheticScene(seed=scene_seed))
+    cfg = _cfg(kernel=kernel, mode=mode)
+    calls = []
+    _, trace = _unmemoized_solve(cfg, packet, calls)
+    searches = trace.line_searches
+    n_iter = len(trace.values) - 1
+    failed = trace.reason == "line_search_failure"
+    assert len(searches) == n_iter + failed
+    assert all(ls.outcome in ("wolfe", "armijo") and ls.alpha > 0 for ls in searches[:n_iter])
+    if failed:
+        assert searches[-1].outcome == "failure" and searches[-1].alpha is None
+    assert sum(kind == "f" for kind, _ in calls) == 1 + sum(ls.f_calls for ls in searches) + n_iter
 
 
 def test_trace_counts_real_evaluations(packet, monkeypatch):

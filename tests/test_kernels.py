@@ -14,13 +14,11 @@ from funcbin.kernels import (
     eval_binning_kernel,
     eval_binning_kernel_prime,
     eval_recon_kernel,
-    kappa_mass,
-    kernel_mass,
-    numeric_convolve_oracle,
 )
 from funcbin.kernels import _ANTIDERS
 
 import kernel_oracle
+from kernel_oracle import kappa_mass, kernel_mass, numeric_convolve_oracle
 
 ALL_PAIRS = [(k, l) for k in BinningKernel for l in ReconKernel]
 
@@ -113,6 +111,24 @@ def test_closed_form_antiderivatives_match_mask_oracle(k, oracle):
         want = oracle(t + 1.0, order) - 2.0 * oracle(t, order) + oracle(t - 1.0, order)
         want = np.where(np.abs(t) >= sk.support_radius, 0.0, want)
         assert np.array_equal(fn(t).view(np.uint64), want.view(np.uint64)), order
+
+
+def test_linear_antiderivatives_match_pow_oracle():
+    """The triangle's K1 gives the oracle's bits; K2, cubed by products, and its kappa agree to rounding."""
+    rng = np.random.default_rng(5)
+    edges = np.array([-3.5, -2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5])
+    t = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), rng.uniform(-4, 4, 200_000)])
+    oracle = kernel_oracle.linear_antider
+    f = _ANTIDERS[BinningKernel.LINEAR]
+    assert np.array_equal(f(t, 1).view(np.uint64), oracle(t, 1).view(np.uint64))
+    got, want = f(t, 2), oracle(t, 2)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    nz = want != 0.0
+    assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) <= 1e-15
+    sk = synthesize_kappa(BinningKernel.LINEAR, ReconKernel.LINEAR)
+    want = oracle(t + 1.0, 2) - 2.0 * oracle(t, 2) + oracle(t - 1.0, 2)
+    want = np.where(np.abs(t) >= sk.support_radius, 0.0, want)
+    assert np.max(np.abs(sk.kappa(t) - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("k,l", ALL_PAIRS)

@@ -13,6 +13,7 @@ from funcbin import (
     warp_rotational,
     warp_translational,
 )
+from funcbin.errors import NonFiniteThetaError
 
 import warp_oracle
 
@@ -139,3 +140,11 @@ def test_motion_params_validation():
 def test_unknown_model_rejected():
     with pytest.raises(ValueError):
         warp(_packet(), "affine", np.zeros(3))
+
+
+@pytest.mark.parametrize("model", ["rot", "trans"])
+@pytest.mark.parametrize("theta", [[np.nan, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, np.inf], [-np.inf, 1.0, 2.0]])
+def test_nonfinite_theta_rejected(model, theta):
+    """A NaN theta would otherwise exclude every event through the projection guard and bin nothing."""
+    with pytest.raises(NonFiniteThetaError, match="theta must be finite"):
+        warp(_packet(), model, np.array(theta))
