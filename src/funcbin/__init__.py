@@ -53,7 +53,7 @@ from .estimator import (
     objective_value,
     rms_error,
 )
-from .analysis import BiasReport, bias_grid, compare_surrogates, degree_of_precision, fd_gradient
+from .analysis import BiasReport, bias_grid, degree_of_precision, fd_gradient
 from .events_io import (
     EventColumns,
     SyntheticScene,

@@ -1,9 +1,16 @@
 """Gradient-bias measurement harness.
 
-Samples the contrast objective on a parameter grid, compares analytic
-gradients under each derivative rule against central finite differences,
-and runs the integration-by-parts precision battery for synthesized
-kernel derivatives.
+Compares analytic gradients under each derivative rule against central
+finite differences of the contrast objective, at given parameters
+(``bias_report``) or on a uniform grid of them (``bias_grid``), and runs
+the integration-by-parts precision battery for synthesized kernel
+derivatives.
+
+Each parameter vector is evaluated once (``estimator._Evaluation``) and
+every rule's gradient comes from that evaluation. Objective values are
+kept as floats keyed on the parameters' bytes, so a finite-difference
+stencil point that is also a sampled point, or another sample's stencil
+point, is not evaluated again.
 """
 
 from __future__ import annotations
@@ -11,13 +18,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
 from .binning import GradMode
-from .estimator import ObjectiveConfig, objective_grad, objective_value
+from .estimator import ObjectiveConfig, _Evaluation, objective_value
 from .kernels import (
     BINNING_SUPPORT,
     BinningKernel,
@@ -41,11 +48,6 @@ def fd_gradient(value_fn, theta, step: float) -> np.ndarray:
         tm[i] -= step
         out[i] = (value_fn(tp) - value_fn(tm)) / (2.0 * step)
     return out
-
-
-def fd_objective_gradient(cfg: ObjectiveConfig, packet: EventPacket, theta, step: float) -> np.ndarray:
-    """Central finite difference of the contrast objective."""
-    return fd_gradient(lambda th: objective_value(cfg, packet, th), theta, step)
 
 
 def mode_name(mode: GradMode) -> str:
@@ -137,6 +139,43 @@ class BiasReport:
             fh.write("\n")
 
 
+def bias_report(
+    cfg: ObjectiveConfig,
+    packet: EventPacket,
+    thetas: np.ndarray,
+    modes: list[GradMode],
+    fd_step: float,
+) -> BiasReport:
+    """Analytic gradients under each mode and the central FD reference at each theta.
+
+    One evaluation per theta serves every mode; the FD reference uses the
+    forward objective only, so it is shared across modes. The results are
+    those of ``objective_grad`` per mode and ``fd_gradient`` of
+    ``objective_value``, bit for bit.
+    """
+    if fd_step <= 0:  # before the gradients, not after them
+        raise ValueError(f"step must be positive, got {fd_step}")
+    thetas = np.asarray(thetas, dtype=float)
+    values: dict[bytes, float] = {}
+    analytic = {mode_name(mode): np.empty_like(thetas) for mode in modes}
+    for i, th in enumerate(thetas):
+        ev = _Evaluation(cfg, packet, th)
+        values[th.tobytes()] = ev.value
+        for mode in modes:
+            analytic[mode_name(mode)][i] = ev.grad(mode)
+
+    def value(th) -> float:
+        key = th.tobytes()
+        if key not in values:
+            values[key] = objective_value(cfg, packet, th)
+        return values[key]
+
+    fd = np.empty_like(thetas)
+    for i, th in enumerate(thetas):
+        fd[i] = fd_gradient(value, th, fd_step)
+    return BiasReport(thetas, fd, analytic, fd_step)
+
+
 def bias_grid(
     cfg: ObjectiveConfig,
     packet: EventPacket,
@@ -146,48 +185,11 @@ def bias_grid(
     n: int = 11,
     fd_step: float = 1.0,
 ) -> BiasReport:
-    """Evaluate analytic and FD gradients on a uniform n^3 parameter grid.
-
-    The FD reference uses the forward objective only and is computed once,
-    then shared across all requested modes.
-    """
+    """``bias_report`` on a uniform n^3 parameter grid over [lo, hi]^3."""
     if n < 2:
         raise ValueError(f"need n >= 2 grid samples per axis, got {n}")
     axis = np.linspace(lo, hi, n)
-    thetas = np.array(list(itertools.product(axis, axis, axis)))
-    fd = np.empty_like(thetas)
-    for i, th in enumerate(thetas):
-        fd[i] = fd_objective_gradient(cfg, packet, th, fd_step)
-    analytic = {}
-    for mode in modes:
-        mcfg = replace(cfg, mode=mode)
-        an = np.empty_like(thetas)
-        for i, th in enumerate(thetas):
-            an[i] = objective_grad(mcfg, packet, th)
-        analytic[mode_name(mode)] = an
-    return BiasReport(thetas, fd, analytic, fd_step)
-
-
-def compare_surrogates(
-    cfg: ObjectiveConfig,
-    packet: EventPacket,
-    modes: list[GradMode],
-    lo: float = -5.0,
-    hi: float = 5.0,
-    n: int = 11,
-    fd_step: float = 1.0,
-) -> list[dict]:
-    """Rank derivative rules by mean |bias| against the shared FD reference."""
-    report = bias_grid(cfg, packet, modes, lo, hi, n, fd_step)
-    summary = report.summary()["per_mode"]
-    rows = [
-        {"mode": name, **stats}
-        for name, stats in summary.items()
-    ]
-    rows.sort(key=lambda r: r["mean_abs_bias"])
-    for rank, row in enumerate(rows, start=1):
-        row["rank"] = rank if len(rows) > 1 else None
-    return rows
+    return bias_report(cfg, packet, np.array(list(itertools.product(axis, axis, axis))), modes, fd_step)
 
 
 def degree_of_precision(

@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .analysis import bias_grid, degree_of_precision, fd_objective_gradient, mode_name
+from .analysis import bias_grid, bias_report, degree_of_precision
 from .binning import FBP, FrameGrid, Naive, STE, Sigmoid, WeightedPoints, bin_forward
 from .errors import FuncbinError
-from .estimator import ObjectiveConfig, lbfgs_maximize, objective_grad, rms_error
+from .estimator import ObjectiveConfig, lbfgs_maximize, rms_error
 from .events_io import (
     SyntheticScene,
     packetize,
@@ -36,7 +35,7 @@ from .events_io import (
 )
 from .kernels import BinningKernel, ReconKernel
 from .objectives import NBParams, ScoreKind
-from .warp import MotionParams
+from .warp import EventPacket, MotionParams
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -92,20 +91,6 @@ def _all_modes(args):
 _KERNELS = {"rect": BinningKernel.RECT, "linear": BinningKernel.LINEAR, "gauss": BinningKernel.GAUSS_TRUNC}
 
 
-def _config(args) -> ObjectiveConfig:
-    grid = FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y))
-    nb = NBParams(r=args.r, p=args.p)
-    scale = args.scale if args.scale is not None else 1.0
-    return ObjectiveConfig(
-        kernel=_KERNELS[args.kernel],
-        mode=_grad_mode(args),
-        score=ScoreKind(args.score, nb),
-        grid=grid,
-        model=args.model,
-        scale=scale,
-    )
-
-
 def _auto_scale(args, events) -> float:
     """Fit the event bounding box into the grid interior with a 5% margin."""
     if args.scale is not None:
@@ -124,6 +109,21 @@ def _require_infile(args):
     if len(events) == 0:
         raise FuncbinError(f"no events in {args.infile}")
     return events
+
+
+def _objective_setup(args) -> tuple[ObjectiveConfig, list[EventPacket]]:
+    """The objective config and the packets of ``--ne`` events (capped at the stream length) of ``--in``."""
+    events = _require_infile(args)
+    packets = packetize(events, min(args.ne, len(events)))
+    cfg = ObjectiveConfig(
+        kernel=_KERNELS[args.kernel],
+        mode=_grad_mode(args),
+        score=ScoreKind(args.score, NBParams(r=args.r, p=args.p)),
+        grid=FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y)),
+        model=args.model,
+        scale=_auto_scale(args, events),
+    )
+    return cfg, packets
 
 
 def _write_frame_csv(path, frame) -> None:
@@ -148,24 +148,14 @@ def cmd_bin(args) -> int:
 
 def cmd_grad(args) -> int:
     """Compare analytic gradients under every mode against finite differences."""
-    events = _require_infile(args)
-    packets = packetize(events, min(args.ne, len(events)))
-    if not packets:
-        raise FuncbinError("no complete packet in input")
-    packet = packets[0]
-    cfg = _config(args)
-    if args.scale is None:
-        cfg = replace(cfg, scale=_auto_scale(args, events))
+    cfg, packets = _objective_setup(args)
     rng = np.random.default_rng(args.seed)
     thetas = [np.zeros(3)] + [rng.uniform(args.grid_lo, args.grid_hi, 3) for _ in range(4)]
-    report = []
-    for th in thetas:
-        fd = fd_objective_gradient(cfg, packet, th, args.fd_step)
-        row = {"theta": list(th), "fd": list(fd)}
-        for mode in _all_modes(args):
-            an = objective_grad(replace(cfg, mode=mode), packet, th)
-            row[mode_name(mode)] = list(an)
-        report.append(row)
+    rep = bias_report(cfg, packets[0], np.array(thetas), _all_modes(args), args.fd_step)
+    report = [
+        {"theta": list(th), "fd": list(rep.fd[i]), **{name: list(an[i]) for name, an in rep.analytic.items()}}
+        for i, th in enumerate(rep.thetas)
+    ]
     text = json.dumps({"fd_step": args.fd_step, "points": report}, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -178,13 +168,7 @@ def cmd_grad(args) -> int:
 
 def cmd_bias(args) -> int:
     """Run the parameter-grid bias report over all gradient modes."""
-    events = _require_infile(args)
-    packets = packetize(events, min(args.ne, len(events)))
-    if not packets:
-        raise FuncbinError("no complete packet in input")
-    cfg = _config(args)
-    if args.scale is None:
-        cfg = replace(cfg, scale=_auto_scale(args, events))
+    cfg, packets = _objective_setup(args)
     report = bias_grid(
         cfg, packets[0], _all_modes(args), args.grid_lo, args.grid_hi, args.grid_n, args.fd_step
     )
@@ -203,15 +187,8 @@ def cmd_bias(args) -> int:
 
 def cmd_estimate(args) -> int:
     """Estimate motion per packet with L-BFGS; report RMS against optional truth."""
-    events = _require_infile(args)
-    ne = min(args.ne, len(events))
-    packets = packetize(events, ne)
-    if not packets:
-        raise FuncbinError(f"no complete packet of {ne} events in input")
+    cfg, packets = _objective_setup(args)
     truths = read_truth_txt(args.truth) if args.truth else None
-    cfg = _config(args)
-    if args.scale is None:
-        cfg = replace(cfg, scale=_auto_scale(args, events))
     per_packet = []
     estimates = []
     for i, packet in enumerate(packets):
@@ -237,7 +214,7 @@ def cmd_estimate(args) -> int:
             "recon": args.recon,
             "score": args.score,
             "model": args.model,
-            "ne": ne,
+            "ne": len(packets[0]),
             "grid": [args.width, args.height, args.delta],
             "scale": cfg.scale,
         },

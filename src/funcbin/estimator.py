@@ -4,24 +4,26 @@ The objective is a scalar function of the three motion parameters. Its
 gradient flows backward through the score adjoint, the binning VJP under
 the configured derivative rule, and the analytic warp Jacobians.
 
-One private evaluation of theta (``_Evaluation``) warps, bins and scores,
-and completes the gradient on demand from the same warped points and frame;
-the warp Jacobian is built only then. ``objective_value``,
-``objective_grad`` and ``lbfgs_maximize`` all go through it, the last
-behind a memo of the last theta evaluated.
+One evaluation of theta (``_Evaluation``) is the only value-and-gradient
+path. It warps, bins and scores once, and completes the gradient under any
+derivative rule on demand from the same warped points, frame and score
+adjoint; the warp Jacobian is built only then. ``objective_value`` and
+``objective_grad`` are its one-rule cases, ``lbfgs_maximize`` keeps a memo
+of the last theta evaluated, and ``analysis.bias_report`` takes every
+rule's gradient from one evaluation per theta.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import line_search
 
-from .binning import Frame, FrameGrid, GradMode, WeightedPoints, bin_forward, bin_vjp
+from .binning import FrameGrid, GradMode, WeightedPoints, bin_forward, bin_vjp
 from .errors import LengthMismatchError
 from .kernels import BinningKernel
 from .objectives import ScoreKind, adjoint, score
@@ -48,18 +50,13 @@ def _warp_to_grid(cfg: ObjectiveConfig, packet: EventPacket, theta) -> tuple[Wei
     return pts, res
 
 
-def objective_frame(cfg: ObjectiveConfig, packet: EventPacket, theta) -> Frame:
-    """The binned frame at the given motion parameters."""
-    pts, _ = _warp_to_grid(cfg, packet, theta)
-    return bin_forward(pts, cfg.grid, cfg.kernel)
-
-
 class _Evaluation:
-    """warp -> bin_forward -> score at one theta, with the gradient completed on demand.
+    """warp -> bin_forward -> score at one theta, with gradients completed on demand.
 
-    The gradient (score adjoint -> ``bin_vjp`` -> warp Jacobian chain) reuses
-    the warped points and the frame of the value, and is computed at most
-    once.
+    A gradient (score adjoint -> ``bin_vjp`` -> warp Jacobian chain) reuses
+    the warped points and the frame of the value. The adjoint and the
+    Jacobian are shared by every rule, and each rule's gradient is computed
+    at most once.
     """
 
     def __init__(self, cfg: ObjectiveConfig, packet: EventPacket, theta):
@@ -67,22 +64,28 @@ class _Evaluation:
         self.pts, self.res = _warp_to_grid(cfg, packet, theta)
         self.frame = bin_forward(self.pts, cfg.grid, cfg.kernel)
         self.value = score(self.frame, cfg.score)
-        self._grad = None
+        self._grads: dict[GradMode, np.ndarray] = {}
 
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        return adjoint(self.frame, self.cfg.score)
+
+    def grad(self, mode: GradMode | None = None) -> np.ndarray:
+        """d value / d theta under ``mode``, by default ``cfg.mode``."""
+        mode = self.cfg.mode if mode is None else mode
+        if mode not in self._grads:
             cfg = self.cfg
-            vbar = adjoint(self.frame, cfg.score)
-            gx, gy = bin_vjp(self.pts, vbar, cfg.grid, cfg.kernel, cfg.mode)
+            gx, gy = bin_vjp(self.pts, self._adjoint, cfg.grid, cfg.kernel, mode)
             J = self.res.jacobian
             # chain through the coordinate scale and the per-event warp Jacobians
             contrib = cfg.scale * (gx[:, None] * J[:, 0, :] + gy[:, None] * J[:, 1, :])
-            self._grad = contrib.sum(axis=0)
-        return self._grad
+            self._grads[mode] = contrib.sum(axis=0)
+        return self._grads[mode]
 
     @property
     def has_grad(self) -> bool:
-        return self._grad is not None
+        """Whether the gradient under ``cfg.mode`` is complete."""
+        return self.cfg.mode in self._grads
 
 
 def objective_value(cfg: ObjectiveConfig, packet: EventPacket, theta) -> float:
@@ -129,18 +132,16 @@ class OptTrace:
     thetas: list = field(default_factory=list)
     values: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
-    times: list = field(default_factory=list)
     converged: bool = False
     reason: str = "max_iter"
     f_evals: int = 0
     g_evals: int = 0
     line_searches: list = field(default_factory=list)
 
-    def record(self, theta, value, gnorm, t):
+    def record(self, theta, value, gnorm):
         self.thetas.append(np.array(theta, dtype=float))
         self.values.append(float(value))
         self.grad_norms.append(float(gnorm))
-        self.times.append(float(t))
 
 
 @dataclass(frozen=True)
@@ -164,10 +165,9 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = OptTrace()
-    t0 = time.perf_counter()
     fx = f(x)
     gx = g(x)
-    trace.record(x, fx, np.linalg.norm(gx), time.perf_counter() - t0)
+    trace.record(x, fx, np.linalg.norm(gx))
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     stall = 0
@@ -201,7 +201,7 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
                 y_hist.pop(0)
         rel_change = abs(fx - f_new) / max(1.0, abs(fx))
         x, fx, gx = x_new, f_new, g_new
-        trace.record(x, fx, np.linalg.norm(gx), time.perf_counter() - t0)
+        trace.record(x, fx, np.linalg.norm(gx))
         stall = stall + 1 if rel_change <= opts.ftol else 0
         if stall >= opts.patience:
             trace.converged = True

@@ -44,7 +44,8 @@ def read_events_txt(path) -> EventColumns:
     """Parse an events text file into columns; raises ParseError with the line number.
 
     The file is read line by line into typed buffers, so no per-event object
-    is made. Each field goes through ``float()`` or ``int()``.
+    is made. Each field goes through ``float()`` or ``int()``, and a
+    non-finite timestamp or coordinate is rejected.
     """
     ts, xs, ys, ps = array("d"), array("d"), array("d"), array("q")
     last_t = -math.inf
@@ -67,6 +68,10 @@ def read_events_txt(path) -> EventColumns:
                 raise ParseError(path, lineno, f"polarity field must be 0 or 1, got {p}")
             if not math.isfinite(t):
                 raise ParseError(path, lineno, "timestamp must be finite")
+            if not math.isfinite(x):
+                raise ParseError(path, lineno, "x must be finite")
+            if not math.isfinite(y):
+                raise ParseError(path, lineno, "y must be finite")
             if t < last_t and not warned:
                 log.warning("%s:%d: non-monotonic timestamp %r", path, lineno, t)
                 warned = True

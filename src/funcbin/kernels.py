@@ -137,10 +137,6 @@ class SynthesizedKernel:
         self.l_kind = l_kind
         self.support_radius = BINNING_SUPPORT[k_kind] + RECON_SUPPORT[l_kind]
 
-    @property
-    def is_closed_form(self) -> bool:
-        return isinstance(self, _ClosedFormKernel)
-
     def kappa(self, x) -> np.ndarray:
         raise NotImplementedError
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from funcbin import (
     ReconKernel,
     STE,
     ScoreKind,
+    Sigmoid,
     bias_grid,
-    compare_surrogates,
     degree_of_precision,
     fd_gradient,
+    objective_grad,
+    objective_value,
 )
 from funcbin.events_io import SyntheticScene, packet_from_scene
 
@@ -87,16 +90,35 @@ def test_bias_report_serialization(tmp_path, packet):
     assert set(summary["per_mode"]) == {"naive", "ste"}
 
 
-def test_compare_surrogates_ranks(packet):
-    rows = compare_surrogates(_cfg(Naive()), packet, [FBP(ReconKernel.LINEAR), STE()], -2, 2, 2, 1.0)
-    assert [r["rank"] for r in rows] == [1, 2]
-    assert rows[0]["mean_abs_bias"] <= rows[1]["mean_abs_bias"]
+@pytest.mark.parametrize("fd_step", [1.0, 0.3])  # on and off the grid points
+def test_bias_grid_matches_per_rule_loop(packet, fd_step):
+    """One evaluation per theta gives the bits of a separate value or gradient call per use."""
+    cfg = _cfg(Sigmoid())  # a cfg.mode outside the rules asked for
+    modes = [Naive(), FBP(ReconKernel.LINEAR), STE()]
+    report = bias_grid(cfg, packet, modes, -1, 1, 3, fd_step)
+    assert list(report.analytic) == ["naive", "fbp-linear", "ste"]
+    for i, th in enumerate(report.thetas):
+        fd = fd_gradient(lambda t: objective_value(cfg, packet, t), th, fd_step)
+        assert fd.tobytes() == report.fd[i].tobytes()
+        for mode, an in zip(modes, report.analytic.values()):
+            assert objective_grad(replace(cfg, mode=mode), packet, th).tobytes() == an[i].tobytes()
 
 
-def test_compare_surrogates_single_mode(packet):
-    rows = compare_surrogates(_cfg(Naive()), packet, [STE()], -2, 2, 2, 1.0)
-    assert len(rows) == 1
-    assert rows[0]["rank"] is None
+def test_bias_grid_evaluates_each_theta_once(packet, monkeypatch):
+    """27 grid points, and the 54 stencil points of a step-1 stencil that are not grid points, warp once each."""
+    from funcbin import estimator
+
+    n_warps = 0
+    real = estimator.warp
+
+    def counting(*args, **kwargs):
+        nonlocal n_warps
+        n_warps += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "warp", counting)
+    bias_grid(_cfg(Naive()), packet, [Naive(), FBP(ReconKernel.LINEAR), STE()], -1, 1, 3, 1.0)
+    assert n_warps == 27 + 54
 
 
 @pytest.mark.parametrize("k", list(BinningKernel))

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from funcbin.cli import main
+from funcbin import FBP, Naive, ReconKernel, STE, Sigmoid, objective_grad
+from funcbin.cli import _objective_setup, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -110,13 +112,40 @@ def test_bias_outputs(events_file, tmp_path, capsys):
 
 def test_grad_report(events_file, tmp_path):
     out = tmp_path / "grad.json"
-    rc = main(["grad", "--in", str(events_file), "--ne", "1800", "--out", str(out)])
+    argv = ["grad", "--in", str(events_file), "--ne", "1800", "--out", str(out)]
+    rc = main(argv)
     assert rc == 0
     rep = json.loads(out.read_text())
     assert len(rep["points"]) == 5
     assert "fd" in rep["points"][0]
     # naive + rect: analytic gradient is identically zero
     np.testing.assert_allclose(rep["points"][1]["naive"], 0.0, atol=1e-12)
+    # every rule's gradient has the bits of its own objective_grad call
+    args = build_parser().parse_args(argv)
+    cfg, packets = _objective_setup(args)
+    modes = {"naive": Naive(), "fbp-linear": FBP(ReconKernel.LINEAR), "ste": STE(), "sigmoid": Sigmoid()}
+    for point in rep["points"]:
+        theta = np.array(point["theta"])
+        assert set(point) == {"theta", "fd", *modes}
+        for name, mode in modes.items():
+            assert point[name] == objective_grad(replace(cfg, mode=mode), packets[0], theta).tolist()
+
+
+@pytest.mark.parametrize("command", ["grad", "bias", "estimate"])
+def test_zero_ne_is_runtime_error(events_file, tmp_path, capsys, command):
+    rc = main([command, "--in", str(events_file), "--ne", "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert parsed["message"] == "n_e must be >= 1, got 0"
+
+
+def test_nonfinite_coordinate_names_its_line(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    path.write_text("0.1 1.0 1.0 1\n0.2 nan 1.0 0\n0.3 1.0 1.0 1\n")
+    assert main(["estimate", "--in", str(path), "--ne", "3", "--scale", "1"]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert parsed["error"] == "ParseError"
+    assert parsed["message"] == f"{path}:2: x must be finite"
 
 
 def test_missing_input_is_runtime_error(capsys):

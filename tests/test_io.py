@@ -103,6 +103,12 @@ def test_parse_rejects_bad_polarity(tmp_path):
         ("0.3 1 2 7", "polarity field must be 0 or 1, got 7"),
         ("0.3 1 2 1.0", "invalid literal for int() with base 10: '1.0'"),
         ("nan 1 2 1", "timestamp must be finite"),
+        ("0.3 nan 2 1", "x must be finite"),
+        ("0.3 inf 2 1", "x must be finite"),
+        ("0.3 -inf 2 1", "x must be finite"),
+        ("0.3 1 nan 1", "y must be finite"),
+        ("0.3 1 inf 1", "y must be finite"),
+        ("0.3 1 -inf 1", "y must be finite"),
     ],
 )
 def test_malformed_line_reports_its_line_number(tmp_path, bad, message):
