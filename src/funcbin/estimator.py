@@ -105,11 +105,14 @@ class LineSearch(NamedTuple):
     """How one iteration's line search ended.
 
     ``outcome`` is "wolfe" (scipy's strong-Wolfe search found the step),
-    "armijo" (the backtracking fallback found it) or "failure" (neither did,
-    and the run stops). ``alpha`` is the step length taken (None on
-    failure), ``f_calls`` the objective calls both searches made, memo hits
+    "armijo" (the backtracking fallback found it), "stall" (on the
+    objective's plateau the fallback reached a trial that leaves f flat, and
+    the run ends converged) or "failure" (no search found a step, and the
+    run stops). ``alpha`` is the step length taken (None when the run ends),
+    ``f_calls`` the objective calls the iteration's searches made, memo hits
     included, and ``restart`` whether the L-BFGS history was dropped for a
-    steepest-descent direction first.
+    steepest-descent direction, before the search or after a failed search
+    along the L-BFGS direction.
     """
 
     outcome: str
@@ -126,7 +129,8 @@ class OptTrace:
     that ``lbfgs_maximize`` made and ``g_evals`` the gradients it completed;
     repeats served from its memo are not counted. Both stay 0 when
     ``_lbfgs_minimize`` is called with plain functions. ``line_searches``
-    holds one ``LineSearch`` per iteration, the failed last one included.
+    holds one ``LineSearch`` per iteration, the failed or stalled last one
+    included.
     """
 
     thetas: list = field(default_factory=list)
@@ -158,10 +162,30 @@ class LbfgsOptions:
 
 
 def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]:
-    """Unbounded L-BFGS with a strong-Wolfe line search.
+    """Unbounded L-BFGS with a safeguarded strong-Wolfe line search.
 
-    Two-loop recursion for the search direction; the line search comes from
-    scipy (strong Wolfe) with an Armijo backtracking fallback.
+    The direction comes from the two-loop recursion, the step from scipy's
+    strong-Wolfe search with an Armijo backtracking fallback, safeguarded
+    as in Nocedal & Wright, *Numerical Optimization*, sections 3.5 and 7.2:
+
+    - when both searches fail along an L-BFGS direction, the history is
+      dropped and one more search runs along -g (a restart);
+    - once an accepted step changed f by at most ``ftol`` (relative), f may
+      have reached its plateau, and the next search's Armijo fallback stops
+      at its first trial that changes f by at most ``ftol``. A trial that
+      does change f can still be taken, so a flat step away from the plateau
+      does not end the run; on the plateau of a piecewise-constant forward
+      the fallback stops after a few trials instead of halving the step
+      until its required decrease rounds away.
+
+    The run ends with ``reason``:
+
+    - "grad_tol": the gradient norm is at most ``grad_tol``;
+    - "ftol": ``patience`` accepted steps in a row changed f by at most ``ftol``;
+    - "stall": a search after a flat step stopped at a flat trial, which
+      counts as converged;
+    - "line_search_failure": no search found a step, the restart's included;
+    - "max_iter": ``max_iter`` iterations ran.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = OptTrace()
@@ -170,7 +194,7 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
     trace.record(x, fx, np.linalg.norm(gx))
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
-    stall = 0
+    flat = 0  # accepted steps in a row that changed f by at most ftol
     for _ in range(opts.max_iter):
         gnorm = np.linalg.norm(gx)
         if gnorm <= opts.grad_tol:
@@ -178,15 +202,23 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
             trace.reason = "grad_tol"
             break
         d = _two_loop_direction(gx, s_hist, y_hist)
+        # restart along -g with the history dropped when d is not a descent
+        # direction, or when both searches failed along the L-BFGS direction d
         restart = bool(np.dot(d, gx) >= 0)
-        if restart:  # not a descent direction
+        f_calls = 0
+        if not restart:
+            alpha, outcome, f_calls = _wolfe_step(f, g, x, d, fx, gx, opts, plateau=flat > 0)
+            restart = outcome == "failure" and bool(s_hist)
+        if restart:
             d = -gx
             s_hist.clear()
             y_hist.clear()
-        alpha, outcome, f_calls = _wolfe_step(f, g, x, d, fx, gx, opts)
+            alpha, outcome, more_calls = _wolfe_step(f, g, x, d, fx, gx, opts, plateau=flat > 0)
+            f_calls += more_calls
         trace.line_searches.append(LineSearch(outcome, alpha, f_calls, restart))
         if alpha is None:
-            trace.reason = "line_search_failure"
+            trace.converged = outcome == "stall"
+            trace.reason = "stall" if trace.converged else "line_search_failure"
             break
         x_new = x + alpha * d
         f_new = f(x_new)
@@ -202,8 +234,8 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
         rel_change = abs(fx - f_new) / max(1.0, abs(fx))
         x, fx, gx = x_new, f_new, g_new
         trace.record(x, fx, np.linalg.norm(gx))
-        stall = stall + 1 if rel_change <= opts.ftol else 0
-        if stall >= opts.patience:
+        flat = flat + 1 if rel_change <= opts.ftol else 0
+        if flat >= opts.patience:
             trace.converged = True
             trace.reason = "ftol"
             break
@@ -233,8 +265,14 @@ def _two_loop_direction(gx, s_hist, y_hist) -> np.ndarray:
     return -q
 
 
-def _wolfe_step(f, g, x, d, fx, gx, opts: LbfgsOptions) -> tuple[float | None, str, int]:
-    """(step length or None, outcome, f calls made) of one line search along d."""
+def _wolfe_step(f, g, x, d, fx, gx, opts: LbfgsOptions, plateau: bool) -> tuple[float | None, str, int]:
+    """(step length or None, outcome, f calls made) of one line search along d.
+
+    On a ``plateau`` the Armijo fallback ends as "stall" at its first trial
+    that changes f by at most ``ftol`` (relative): on a piecewise-constant f
+    every shorter step stays on x's piece, and could pass the Armijo test
+    only once its required decrease rounds away.
+    """
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         alpha, f_calls, *_ = line_search(f, g, x, d, gfk=gx, old_fval=fx, c1=opts.c1, c2=opts.c2, maxiter=30)
@@ -245,7 +283,10 @@ def _wolfe_step(f, g, x, d, fx, gx, opts: LbfgsOptions) -> tuple[float | None, s
     alpha = 1.0
     for _ in range(40):
         f_calls += 1
-        if f(x + alpha * d) <= fx + opts.c1 * alpha * slope:
+        f_trial = f(x + alpha * d)
+        if plateau and abs(f_trial - fx) <= opts.ftol * max(1.0, abs(fx)):
+            return None, "stall", f_calls
+        if f_trial <= fx + opts.c1 * alpha * slope:
             return alpha, "armijo", f_calls
         alpha *= 0.5
     return None, "failure", f_calls

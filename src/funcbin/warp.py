@@ -146,26 +146,24 @@ def _event_weights(packet: EventPacket, weight_mode: str) -> np.ndarray:
     raise ValueError(f"unknown weight mode {weight_mode!r}")
 
 
-def _project(h: np.ndarray, project: bool, guard: float):
-    """Perspective divide with a guard; returns (x, y, keep mask, divisor or None)."""
+def _project(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray, project: bool, guard: float):
+    """Perspective divide of the columns h0, h1, h2 with a guard; returns (x, y, keep mask, divisor or None)."""
     if not project:
-        return h[:, 0], h[:, 1], np.ones(len(h), dtype=bool), None
-    z = h[:, 2]
-    keep = np.abs(z) >= guard
-    hz = np.where(keep, z, 1.0)
-    return h[:, 0] / hz, h[:, 1] / hz, keep, hz
+        return h0, h1, np.ones(len(h0), dtype=bool), None
+    keep = np.abs(h2) >= guard
+    hz = np.where(keep, h2, 1.0)
+    return h0 / hz, h1 / hz, keep, hz
 
 
-def _projection_rows(h: np.ndarray, hz, keep: np.ndarray) -> tuple[tuple, tuple]:
+def _projection_rows(h0: np.ndarray, h1: np.ndarray, hz, keep: np.ndarray) -> tuple[tuple, tuple]:
     """The two rows of d(projection)/dh at the kept events, each three columns over them."""
-    h = h[keep]
-    zero = np.zeros(len(h))
+    zero = np.zeros(np.count_nonzero(keep))
     if hz is None:
-        one = np.ones(len(h))
+        one = np.ones(len(zero))
         return (one, zero, zero), (zero, one, zero)
     hz = hz[keep]
     inv = 1.0 / hz
-    return (inv, zero, -h[:, 0] / hz**2), (zero, inv, -h[:, 1] / hz**2)
+    return (inv, zero, -h0[keep] / hz**2), (zero, inv, -h1[keep] / hz**2)
 
 
 def _warp_result(packet, px, py, keep, weight_mode, build_jacobian) -> WarpResult:
@@ -188,26 +186,30 @@ def warp_rotational(
     followed by the perspective divide. Events whose projection denominator
     falls under the guard are excluded and counted.
     """
-    omega = _motion_vector(omega)
+    w0, w1, w2 = _motion_vector(omega)
+    xs, ys = packet.xs, packet.ys
     dt = packet.t_ref - packet.ts
-    X = np.stack([packet.xs, packet.ys, np.ones(len(packet))], axis=1)
-    c = np.cross(np.broadcast_to(omega, X.shape), X)
-    h = X + dt[:, None] * c
-    px, py, keep, hz = _project(h, project, guard)
+    # h = X + dt (omega x X) with X = (x, y, 1), one column at a time. Each
+    # cross-product column takes np.cross's terms in np.cross's order, so the
+    # points keep the bits of the stacked np.cross construction
+    h0 = xs + dt * (w1 - w2 * ys)
+    h1 = ys + dt * (w2 * xs - w0)
+    h2 = 1.0 + dt * (w0 * ys - w1 * xs)
+    px, py, keep, hz = _project(h0, h1, h2, project, guard)
 
     def jacobian():
         # d(omega x X)/d(omega) = -[X]_x, so dh/domega = -dt [X]_x. Each entry of
         # P @ Jh is summed as a matrix product sums it, from 0.0 and in the order
         # j = 0, 1, 2 with the exact-zero terms, so the result is the same bits
-        x0, x1, x2 = X[keep, 0], X[keep, 1], X[keep, 2]
+        x, y = xs[keep], ys[keep]
         ndt = -dt[keep]
         zero = ndt * 0.0
         Jh = (
-            (zero, ndt * -x2, ndt * x1),
-            (ndt * x2, zero, ndt * -x0),
-            (ndt * -x1, ndt * x0, zero),
+            (zero, -ndt, ndt * y),
+            (ndt, zero, ndt * -x),
+            (ndt * -y, ndt * x, zero),
         )
-        P = _projection_rows(h, hz, keep)
+        P = _projection_rows(h0, h1, hz, keep)
         J = np.empty((len(ndt), 2, 3))
         for i in range(2):
             for col in range(3):
@@ -226,16 +228,15 @@ def warp_translational(
     guard: float = PROJECTION_GUARD,
 ) -> WarpResult:
     """Translate homogeneous event coordinates by the linear-velocity model."""
-    v = _motion_vector(v)
+    v0, v1, v2 = _motion_vector(v)
     dt = packet.t_ref - packet.ts
-    X = np.stack([packet.xs, packet.ys, np.ones(len(packet))], axis=1)
-    h = X + dt[:, None] * v[None, :]
-    px, py, keep, hz = _project(h, project, guard)
+    h0, h1, h2 = packet.xs + dt * v0, packet.ys + dt * v1, 1.0 + dt * v2
+    px, py, keep, hz = _project(h0, h1, h2, project, guard)
 
     def jacobian():
         # dh/dv = dt I, so the Jacobian is dt times d(projection)/dh
         dtk = dt[keep]
-        P = _projection_rows(h, hz, keep)
+        P = _projection_rows(h0, h1, hz, keep)
         J = np.empty((len(dtk), 2, 3))
         for i in range(2):
             for col in range(3):

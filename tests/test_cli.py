@@ -69,9 +69,9 @@ def test_estimate_default_ne_fits_short_stream(events_file, tmp_path):
     # real evaluations: every iterate is a warp and a gradient, plus the line searches' trials
     assert row["f_evals"] >= row["g_evals"] >= row["iterations"] + 1
     searches = row["line_search"]
-    assert len(searches) == row["iterations"] + (row["reason"] == "line_search_failure")
+    assert len(searches) == row["iterations"] + (row["reason"] in ("line_search_failure", "stall"))
     assert set(searches[0]) == {"outcome", "alpha", "f_calls", "restart"}
-    assert all(ls["outcome"] in ("wolfe", "armijo", "failure") for ls in searches)
+    assert all(ls["outcome"] in ("wolfe", "armijo", "stall", "failure") for ls in searches)
     assert result["rms"] < 0.02 * np.degrees(np.linalg.norm([0.5, -0.3, 0.8]))
 
 

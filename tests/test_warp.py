@@ -100,6 +100,20 @@ def test_jacobian_matches_fd(model):
 @pytest.mark.parametrize("model", ["rot", "trans"])
 @pytest.mark.parametrize("project", [True, False])
 @pytest.mark.parametrize("guard", [1e-6, 1.0])
+def test_points_match_stacked_oracle(model, project, guard):
+    """The column-by-column warp gives the bits of the stacked np.cross construction."""
+    pkt = _packet(n=500, seed=4)
+    for theta in ([0.8, -0.4, 1.1], [30.0, -12.0, 45.0], [0.0, 0.0, 0.0], [-0.0, 2.5, -0.0]):
+        res = warp(pkt, model, theta, project=project, guard=guard)
+        xs, ys, keep = warp_oracle.points(pkt, model, theta, project=project, guard=guard)
+        assert np.array_equal(res.kept, keep) and res.n_excluded == np.count_nonzero(~keep)
+        assert np.array_equal(res.points.xs.view(np.uint64), xs.view(np.uint64))
+        assert np.array_equal(res.points.ys.view(np.uint64), ys.view(np.uint64))
+
+
+@pytest.mark.parametrize("model", ["rot", "trans"])
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("guard", [1e-6, 1.0])
 def test_jacobian_matches_dense_oracle(model, project, guard):
     """The column-by-column Jacobian gives the dense einsum construction's bits."""
     pkt = _packet(n=500, seed=4)

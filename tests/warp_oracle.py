@@ -1,9 +1,11 @@
-"""The warp Jacobians as the package once built them, kept as a test reference.
+"""The warp points and Jacobians as the package once built them, kept as a test reference.
 
-Each event's 2 x 3 Jacobian is the matrix product of the perspective
+The homogeneous points are the stacked (n, 3) array of ``(x, y, 1)`` moved
+by ``np.cross`` (rotational) or a broadcast add (translational). Each
+event's 2 x 3 Jacobian is the matrix product of the perspective
 projection's derivative P (n, 2, 3) and the homogeneous motion derivative
 (n, 3, 3), built as dense tensors and contracted with ``einsum``. The
-package builds the same sums column by column, on demand.
+package builds the same values column by column, the Jacobian on demand.
 """
 
 import numpy as np
@@ -30,14 +32,31 @@ def _projection_derivative(h, project, guard):
     return keep, P
 
 
-def jacobian(packet, model, theta, *, project=True, guard=PROJECTION_GUARD):
-    """The (n_kept, 2, 3) warp Jacobian of ``funcbin.warp`` by the dense construction."""
+def _stacked(packet, model, theta):
+    """(dt, X, h): time offsets, the (n, 3) homogeneous events and their warped rows."""
     theta = np.asarray(theta, dtype=float)
     dt = packet.t_ref - packet.ts
     X = np.stack([packet.xs, packet.ys, np.ones(len(packet))], axis=1)
     if model == "rot":
-        h = X + dt[:, None] * np.cross(np.broadcast_to(theta, X.shape), X)
-        keep, P = _projection_derivative(h, project, guard)
+        return dt, X, X + dt[:, None] * np.cross(np.broadcast_to(theta, X.shape), X)
+    return dt, X, X + dt[:, None] * theta[None, :]
+
+
+def points(packet, model, theta, *, project=True, guard=PROJECTION_GUARD):
+    """(xs, ys, keep): the projected points of ``funcbin.warp`` at the kept events, and the mask."""
+    _, _, h = _stacked(packet, model, theta)
+    if not project:
+        return h[:, 0], h[:, 1], np.ones(len(h), dtype=bool)
+    keep = np.abs(h[:, 2]) >= guard
+    hz = np.where(keep, h[:, 2], 1.0)
+    return (h[:, 0] / hz)[keep], (h[:, 1] / hz)[keep], keep
+
+
+def jacobian(packet, model, theta, *, project=True, guard=PROJECTION_GUARD):
+    """The (n_kept, 2, 3) warp Jacobian of ``funcbin.warp`` by the dense construction."""
+    dt, X, h = _stacked(packet, model, theta)
+    keep, P = _projection_derivative(h, project, guard)
+    if model == "rot":
         n = len(packet)
         skew = np.zeros((n, 3, 3))
         skew[:, 0, 1] = -X[:, 2]
@@ -49,7 +68,5 @@ def jacobian(packet, model, theta, *, project=True, guard=PROJECTION_GUARD):
         Jh = -dt[:, None, None] * skew
         J = np.einsum("nij,njk->nik", P, Jh)
     else:
-        h = X + dt[:, None] * theta[None, :]
-        keep, P = _projection_derivative(h, project, guard)
         J = dt[:, None, None] * P
     return J[keep]
