@@ -26,7 +26,6 @@ from .binning import (
 from .kernels import (
     BinningKernel,
     ReconKernel,
-    SynthesizedKernel,
     eval_binning_kernel,
     eval_recon_kernel,
     synthesize_kappa,
@@ -36,15 +35,12 @@ from .warp import (
     Event,
     EventPacket,
     MotionParams,
-    RefTimePolicy,
     WarpResult,
-    reference_time,
     warp,
     warp_rotational,
     warp_translational,
 )
 from .estimator import (
-    LbfgsOptions,
     LineSearch,
     ObjectiveConfig,
     OptTrace,

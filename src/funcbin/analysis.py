@@ -50,21 +50,6 @@ def fd_gradient(value_fn, theta, step: float) -> np.ndarray:
     return out
 
 
-def mode_name(mode: GradMode) -> str:
-    """The label of a gradient rule in reports: naive, fbp-<recon>, ste or sigmoid."""
-    from .binning import FBP, Naive, STE, Sigmoid
-
-    if isinstance(mode, Naive):
-        return "naive"
-    if isinstance(mode, FBP):
-        return f"fbp-{mode.recon.value}"
-    if isinstance(mode, STE):
-        return "ste"
-    if isinstance(mode, Sigmoid):
-        return "sigmoid"
-    return repr(mode)
-
-
 @dataclass
 class BiasReport:
     """Per-grid-point analytic vs finite-difference gradients.
@@ -157,12 +142,12 @@ def bias_report(
         raise ValueError(f"step must be positive, got {fd_step}")
     thetas = np.asarray(thetas, dtype=float)
     values: dict[bytes, float] = {}
-    analytic = {mode_name(mode): np.empty_like(thetas) for mode in modes}
+    analytic = {mode.name: np.empty_like(thetas) for mode in modes}
     for i, th in enumerate(thetas):
         ev = _Evaluation(cfg, packet, th)
         values[th.tobytes()] = ev.value
         for mode in modes:
-            analytic[mode_name(mode)][i] = ev.grad(mode)
+            analytic[mode.name][i] = ev.grad(mode)
 
     def value(th) -> float:
         key = th.tobytes()
@@ -192,20 +177,15 @@ def bias_grid(
     return bias_report(cfg, packet, np.array(list(itertools.product(axis, axis, axis))), modes, fd_step)
 
 
-def degree_of_precision(
-    k: BinningKernel,
-    l: ReconKernel,
-    n_max: int = 3,
-    step: float = 1e-4,
-) -> list[tuple[int, float, float, float]]:
+def degree_of_precision(k: BinningKernel, l: ReconKernel) -> list[tuple[int, float, float, float]]:
     """Integration-by-parts residuals of the synthesized derivative.
 
-    For each polynomial degree n, compares lhs = integral x^n kappa'(x) dx
+    For each polynomial degree n = 0..3, compares lhs = integral x^n kappa'(x) dx
     with rhs = -n integral x^(n-1) k(x) dx; a vanishing residual means the
     synthesized rule reproduces the weak derivative exactly at that degree.
+    Both integrals are Simpson's rule on a grid of spacing about 1e-4.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    step = 1e-4
     sk = synthesize_kappa(k, l)
     r = sk.support_radius
     npts = int(np.ceil(2 * r / step))
@@ -220,7 +200,7 @@ def degree_of_precision(
     xk = np.linspace(-rk, rk, nk + 1)
     kv = eval_binning_kernel(k, np.clip(xk, -rk + 1e-12, rk - 1e-12))
     out = []
-    for deg in range(n_max + 1):
+    for deg in range(4):
         lhs = float(simpson(xs**deg * kp, x=xs))
         rhs = -deg * float(simpson(xk ** (deg - 1) * kv, x=xk)) if deg >= 1 else 0.0
         out.append((deg, lhs, rhs, abs(lhs - rhs)))

@@ -19,6 +19,7 @@ Contributions falling outside the grid are dropped, not clamped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -98,12 +99,16 @@ class Frame:
 
 @dataclass(frozen=True)
 class GradMode:
-    """Base tag for the backward-pass derivative rule."""
+    """Base tag for the backward-pass derivative rule; ``name`` is its label in reports."""
+
+    name: ClassVar[str]
 
 
 @dataclass(frozen=True)
 class Naive(GradMode):
     """Pointwise kernel derivative k' (zero a.e. for the rect kernel)."""
+
+    name = "naive"
 
 
 @dataclass(frozen=True)
@@ -112,17 +117,26 @@ class FBP(GradMode):
 
     recon: ReconKernel = ReconKernel.LINEAR
 
+    @property
+    def name(self) -> str:
+        return f"fbp-{self.recon.value}"
+
 
 @dataclass(frozen=True)
 class STE(GradMode):
     """Straight-through estimator: kappa'(x) = -sgn(x) on |x| < 1."""
 
+    name = "ste"
+
 
 @dataclass(frozen=True)
 class Sigmoid(GradMode):
-    """Sigmoid surrogate: difference of sigmoid derivatives at slope-scaled edges."""
+    """Sigmoid surrogate: difference of sigmoid derivatives at edges scaled by ``SIGMOID_SLOPE``."""
 
-    slope: float = 10.0
+    name = "sigmoid"
+
+
+SIGMOID_SLOPE = 10.0
 
 
 def _sigma_prime(z: np.ndarray) -> np.ndarray:
@@ -135,11 +149,11 @@ def ste_derivative(x) -> np.ndarray:
     return np.where(np.abs(x) < 1.0, -np.sign(x), 0.0)
 
 
-def sigmoid_derivative(x, slope: float = 10.0) -> np.ndarray:
-    # derivative of the sigmoid-smoothed unit step pair sigma(s(x+1/2)) - sigma(s(x-1/2));
-    # the slope factor comes from the chain rule
+def sigmoid_derivative(x) -> np.ndarray:
+    # derivative of the sigmoid-smoothed unit step pair sigma(s(x+1/2)) - sigma(s(x-1/2))
+    # with s = SIGMOID_SLOPE; the slope factor comes from the chain rule
     x = np.asarray(x, dtype=float)
-    return slope * (_sigma_prime(slope * (x + 0.5)) - _sigma_prime(slope * (x - 0.5)))
+    return SIGMOID_SLOPE * (_sigma_prime(SIGMOID_SLOPE * (x + 0.5)) - _sigma_prime(SIGMOID_SLOPE * (x - 0.5)))
 
 
 def _axis_rule(k: BinningKernel, mode: GradMode):
@@ -159,8 +173,7 @@ def _axis_rule(k: BinningKernel, mode: GradMode):
     if isinstance(mode, STE):
         return sk.kappa, ste_derivative, sk.support_radius
     if isinstance(mode, Sigmoid):
-        slope = mode.slope
-        return sk.kappa, lambda x: sigmoid_derivative(x, slope), sk.support_radius
+        return sk.kappa, sigmoid_derivative, sk.support_radius
     raise ValueError(f"unknown grad mode {mode!r}")
 
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .analysis import bias_grid, bias_report, degree_of_precision
-from .binning import FBP, FrameGrid, Naive, STE, Sigmoid, WeightedPoints, bin_forward
+from .binning import FBP, FrameGrid, GradMode, Naive, STE, Sigmoid, WeightedPoints, bin_forward
 from .errors import FuncbinError
 from .estimator import ObjectiveConfig, lbfgs_maximize, rms_error
 from .events_io import (
@@ -38,38 +39,45 @@ from .objectives import NBParams, ScoreKind
 from .warp import EventPacket, MotionParams
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kernel", choices=["rect", "linear", "gauss"], default="rect")
-    p.add_argument("--recon", choices=["linear", "cubic", "lanczos"], default="linear")
-    p.add_argument("--grad", choices=["naive", "fbp", "ste", "sigmoid"], default="fbp")
-    p.add_argument("--score", choices=["var", "ll"], default="var")
-    p.add_argument("--model", choices=["rot", "trans"], default="rot")
-    p.add_argument("--ne", type=int, default=20000, help="events per packet")
-    p.add_argument("--width", type=int, default=200)
-    p.add_argument("--height", type=int, default=150)
-    p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--scale", type=float, default=None,
-                   help="coordinate scale; default fits the event bounding box into the grid")
-    p.add_argument("--offset-x", type=float, default=0.0)
-    p.add_argument("--offset-y", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=0.3, help="negative-binomial r")
-    p.add_argument("--p", type=float, default=0.8, help="negative-binomial p")
-    p.add_argument("--fd-step", type=float, default=1.0)
-    p.add_argument("--grid-lo", type=float, default=-5.0)
-    p.add_argument("--grid-hi", type=float, default=5.0)
-    p.add_argument("--grid-n", type=int, default=11)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--in", dest="infile", default=None, help="input events file")
-    p.add_argument("--truth", default=None, help="truth file (read or written per subcommand)")
-    p.add_argument("--out", default=None, help="output file")
+# every flag of the CLI and its argparse keywords; each subcommand takes the
+# flags of its entry in _COMMANDS, and argparse rejects any other with exit code 2
+_FLAGS = {
+    "--in": dict(dest="infile", default=None, help="input events file"),
+    "--out": dict(default=None, help="output file"),
+    "--truth": dict(default=None, help="truth file (read by estimate, written by synth)"),
+    "--kernel": dict(choices=["rect", "linear", "gauss"], default="rect"),
+    "--recon": dict(choices=["linear", "cubic", "lanczos"], default="linear"),
+    "--grad": dict(choices=["naive", "fbp", "ste", "sigmoid"], default="fbp"),
+    "--score": dict(choices=["var", "ll"], default="var"),
+    "--model": dict(choices=["rot", "trans"], default="rot"),
+    "--ne": dict(type=int, default=20000, help="events per packet"),
+    "--width": dict(type=int, default=200),
+    "--height": dict(type=int, default=150),
+    "--delta": dict(type=float, default=0.01),
+    "--scale": dict(type=float, help="coordinate scale; default fits the event bounding box into the grid"),
+    "--offset-x": dict(type=float, default=0.0),
+    "--offset-y": dict(type=float, default=0.0),
+    "--r": dict(type=float, default=0.3, help="negative-binomial r"),
+    "--p": dict(type=float, default=0.8, help="negative-binomial p"),
+    "--fd-step": dict(type=float, default=1.0),
+    "--grid-lo": dict(type=float, default=-5.0),
+    "--grid-hi": dict(type=float, default=5.0),
+    "--grid-n": dict(type=int, default=11),
+    "--seed": dict(type=int, default=0),
+}
+
+_GRID_MAPPING = ("--width", "--height", "--delta", "--scale", "--offset-x", "--offset-y")
+# the flags of _objective_setup, apart from --grad
+_OBJECTIVE = ("--in", "--ne", "--kernel", "--recon", "--score", "--r", "--p", "--model", *_GRID_MAPPING)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="funcbin", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0] if fn.__doc__ else None)
-        _add_common(p)
+    for name, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 
@@ -92,8 +100,10 @@ _KERNELS = {"rect": BinningKernel.RECT, "linear": BinningKernel.LINEAR, "gauss":
 
 
 def _auto_scale(args, events) -> float:
-    """Fit the event bounding box into the grid interior with a 5% margin."""
+    """``--scale``, or else the scale that fits the event bounding box into the grid interior with a 5% margin."""
     if args.scale is not None:
+        if not (args.scale > 0 and math.isfinite(args.scale)):
+            raise FuncbinError(f"--scale must be positive and finite, got {args.scale}")
         return args.scale
     span_x = float(events.xs.max() - events.xs.min()) or 1.0
     span_y = float(events.ys.max() - events.ys.min()) or 1.0
@@ -111,13 +121,13 @@ def _require_infile(args):
     return events
 
 
-def _objective_setup(args) -> tuple[ObjectiveConfig, list[EventPacket]]:
-    """The objective config and the packets of ``--ne`` events (capped at the stream length) of ``--in``."""
+def _objective_setup(args, mode: GradMode) -> tuple[ObjectiveConfig, list[EventPacket]]:
+    """The objective under ``mode`` and the packets of ``--ne`` events (capped at the stream length) of ``--in``."""
     events = _require_infile(args)
     packets = packetize(events, min(args.ne, len(events)))
     cfg = ObjectiveConfig(
         kernel=_KERNELS[args.kernel],
-        mode=_grad_mode(args),
+        mode=mode,
         score=ScoreKind(args.score, NBParams(r=args.r, p=args.p)),
         grid=FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y)),
         model=args.model,
@@ -148,10 +158,11 @@ def cmd_bin(args) -> int:
 
 def cmd_grad(args) -> int:
     """Compare analytic gradients under every mode against finite differences."""
-    cfg, packets = _objective_setup(args)
+    modes = _all_modes(args)
+    cfg, packets = _objective_setup(args, modes[0])  # unused: the report asks each mode by name
     rng = np.random.default_rng(args.seed)
     thetas = [np.zeros(3)] + [rng.uniform(args.grid_lo, args.grid_hi, 3) for _ in range(4)]
-    rep = bias_report(cfg, packets[0], np.array(thetas), _all_modes(args), args.fd_step)
+    rep = bias_report(cfg, packets[0], np.array(thetas), modes, args.fd_step)
     report = [
         {"theta": list(th), "fd": list(rep.fd[i]), **{name: list(an[i]) for name, an in rep.analytic.items()}}
         for i, th in enumerate(rep.thetas)
@@ -168,10 +179,9 @@ def cmd_grad(args) -> int:
 
 def cmd_bias(args) -> int:
     """Run the parameter-grid bias report over all gradient modes."""
-    cfg, packets = _objective_setup(args)
-    report = bias_grid(
-        cfg, packets[0], _all_modes(args), args.grid_lo, args.grid_hi, args.grid_n, args.fd_step
-    )
+    modes = _all_modes(args)
+    cfg, packets = _objective_setup(args, modes[0])  # unused: the report asks each mode by name
+    report = bias_grid(cfg, packets[0], modes, args.grid_lo, args.grid_hi, args.grid_n, args.fd_step)
     out = args.out or "bias.csv"
     report.write_csv(out)
     report.write_json_summary(out + ".json")
@@ -187,7 +197,7 @@ def cmd_bias(args) -> int:
 
 def cmd_estimate(args) -> int:
     """Estimate motion per packet with L-BFGS; report RMS against optional truth."""
-    cfg, packets = _objective_setup(args)
+    cfg, packets = _objective_setup(args, _grad_mode(args))
     truths = read_truth_txt(args.truth) if args.truth else None
     per_packet = []
     estimates = []
@@ -256,6 +266,8 @@ def cmd_precision(args) -> int:
 
 def cmd_synth(args) -> int:
     """Write a synthetic event stream and its ground-truth motion file."""
+    if args.ne < 1:
+        raise FuncbinError(f"--ne must be >= 1, got {args.ne}")
     motion = MotionParams(args.model, (0.5, -0.3, 0.8))
     scene = SyntheticScene(seed=args.seed, motion=motion)
     events, truth = synth_events(scene)
@@ -269,12 +281,12 @@ def cmd_synth(args) -> int:
 
 
 _COMMANDS = {
-    "bin": cmd_bin,
-    "grad": cmd_grad,
-    "bias": cmd_bias,
-    "estimate": cmd_estimate,
-    "precision": cmd_precision,
-    "synth": cmd_synth,
+    "bin": (cmd_bin, ("--in", "--out", "--kernel", *_GRID_MAPPING)),
+    "grad": (cmd_grad, (*_OBJECTIVE, "--seed", "--grid-lo", "--grid-hi", "--fd-step", "--out")),
+    "bias": (cmd_bias, (*_OBJECTIVE, "--grid-lo", "--grid-hi", "--grid-n", "--fd-step", "--out")),
+    "estimate": (cmd_estimate, (*_OBJECTIVE, "--grad", "--truth", "--out")),
+    "precision": (cmd_precision, ("--kernel", "--recon", "--out")),
+    "synth": (cmd_synth, ("--seed", "--model", "--ne", "--out", "--truth")),
 }
 
 

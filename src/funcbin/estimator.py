@@ -40,12 +40,10 @@ class ObjectiveConfig:
     grid: FrameGrid
     model: str = "rot"
     scale: float = 1.0
-    weight_mode: str = "ones"
-    project: bool = True
 
 
 def _warp_to_grid(cfg: ObjectiveConfig, packet: EventPacket, theta) -> tuple[WeightedPoints, WarpResult]:
-    res = warp(packet, cfg.model, theta, weight_mode=cfg.weight_mode, project=cfg.project)
+    res = warp(packet, cfg.model, theta)
     pts = WeightedPoints(cfg.scale * res.points.xs, cfg.scale * res.points.ys, res.points.ws)
     return pts, res
 
@@ -148,20 +146,18 @@ class OptTrace:
         self.grad_norms.append(float(gnorm))
 
 
-@dataclass(frozen=True)
-class LbfgsOptions:
-    history: int = 10
-    max_iter: int = 100
-    grad_tol: float = 1e-6
-    # stop after `patience` consecutive steps with relative objective change
-    # below ftol (piecewise-constant forwards never reach grad_tol)
-    ftol: float = 1e-10
-    patience: int = 3
-    c1: float = 1e-4
-    c2: float = 0.9
+# L-BFGS settings
+HISTORY = 10  # (s, y) pairs kept
+MAX_ITER = 100
+GRAD_TOL = 1e-6
+# stop after PATIENCE consecutive steps with relative objective change below
+# FTOL (piecewise-constant forwards never reach GRAD_TOL)
+FTOL = 1e-10
+PATIENCE = 3
+C1, C2 = 1e-4, 0.9  # strong-Wolfe sufficient-decrease and curvature constants
 
 
-def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]:
+def _lbfgs_minimize(f, g, x0) -> tuple[np.ndarray, OptTrace]:
     """Unbounded L-BFGS with a safeguarded strong-Wolfe line search.
 
     The direction comes from the two-loop recursion, the step from scipy's
@@ -170,9 +166,9 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
 
     - when both searches fail along an L-BFGS direction, the history is
       dropped and one more search runs along -g (a restart);
-    - once an accepted step changed f by at most ``ftol`` (relative), f may
+    - once an accepted step changed f by at most ``FTOL`` (relative), f may
       have reached its plateau, and the next search's Armijo fallback stops
-      at its first trial that changes f by at most ``ftol``. A trial that
+      at its first trial that changes f by at most ``FTOL``. A trial that
       does change f can still be taken, so a flat step away from the plateau
       does not end the run; on the plateau of a piecewise-constant forward
       the fallback stops after a few trials instead of halving the step
@@ -180,12 +176,12 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
 
     The run ends with ``reason``:
 
-    - "grad_tol": the gradient norm is at most ``grad_tol``;
-    - "ftol": ``patience`` accepted steps in a row changed f by at most ``ftol``;
+    - "grad_tol": the gradient norm is at most ``GRAD_TOL``;
+    - "ftol": ``PATIENCE`` accepted steps in a row changed f by at most ``FTOL``;
     - "stall": a search after a flat step stopped at a flat trial, which
       counts as converged;
     - "line_search_failure": no search found a step, the restart's included;
-    - "max_iter": ``max_iter`` iterations ran.
+    - "max_iter": ``MAX_ITER`` iterations ran.
     """
     x = np.asarray(x0, dtype=float).copy()
     trace = OptTrace()
@@ -194,10 +190,10 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
     trace.record(x, fx, np.linalg.norm(gx))
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
-    flat = 0  # accepted steps in a row that changed f by at most ftol
-    for _ in range(opts.max_iter):
+    flat = 0  # accepted steps in a row that changed f by at most FTOL
+    for _ in range(MAX_ITER):
         gnorm = np.linalg.norm(gx)
-        if gnorm <= opts.grad_tol:
+        if gnorm <= GRAD_TOL:
             trace.converged = True
             trace.reason = "grad_tol"
             break
@@ -207,13 +203,13 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
         restart = bool(np.dot(d, gx) >= 0)
         f_calls = 0
         if not restart:
-            alpha, outcome, f_calls = _wolfe_step(f, g, x, d, fx, gx, opts, plateau=flat > 0)
+            alpha, outcome, f_calls = _wolfe_step(f, g, x, d, fx, gx, plateau=flat > 0)
             restart = outcome == "failure" and bool(s_hist)
         if restart:
             d = -gx
             s_hist.clear()
             y_hist.clear()
-            alpha, outcome, more_calls = _wolfe_step(f, g, x, d, fx, gx, opts, plateau=flat > 0)
+            alpha, outcome, more_calls = _wolfe_step(f, g, x, d, fx, gx, plateau=flat > 0)
             f_calls += more_calls
         trace.line_searches.append(LineSearch(outcome, alpha, f_calls, restart))
         if alpha is None:
@@ -228,20 +224,20 @@ def _lbfgs_minimize(f, g, x0, opts: LbfgsOptions) -> tuple[np.ndarray, OptTrace]
         if np.dot(s, yv) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
             s_hist.append(s)
             y_hist.append(yv)
-            if len(s_hist) > opts.history:
+            if len(s_hist) > HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         rel_change = abs(fx - f_new) / max(1.0, abs(fx))
         x, fx, gx = x_new, f_new, g_new
         trace.record(x, fx, np.linalg.norm(gx))
-        flat = flat + 1 if rel_change <= opts.ftol else 0
-        if flat >= opts.patience:
+        flat = flat + 1 if rel_change <= FTOL else 0
+        if flat >= PATIENCE:
             trace.converged = True
             trace.reason = "ftol"
             break
     else:
         trace.reason = "max_iter"
-    if np.linalg.norm(gx) <= opts.grad_tol:
+    if np.linalg.norm(gx) <= GRAD_TOL:
         trace.converged = True
         trace.reason = "grad_tol"
     return x, trace
@@ -265,17 +261,17 @@ def _two_loop_direction(gx, s_hist, y_hist) -> np.ndarray:
     return -q
 
 
-def _wolfe_step(f, g, x, d, fx, gx, opts: LbfgsOptions, plateau: bool) -> tuple[float | None, str, int]:
+def _wolfe_step(f, g, x, d, fx, gx, plateau: bool) -> tuple[float | None, str, int]:
     """(step length or None, outcome, f calls made) of one line search along d.
 
     On a ``plateau`` the Armijo fallback ends as "stall" at its first trial
-    that changes f by at most ``ftol`` (relative): on a piecewise-constant f
+    that changes f by at most ``FTOL`` (relative): on a piecewise-constant f
     every shorter step stays on x's piece, and could pass the Armijo test
     only once its required decrease rounds away.
     """
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        alpha, f_calls, *_ = line_search(f, g, x, d, gfk=gx, old_fval=fx, c1=opts.c1, c2=opts.c2, maxiter=30)
+        alpha, f_calls, *_ = line_search(f, g, x, d, gfk=gx, old_fval=fx, c1=C1, c2=C2, maxiter=30)
     if alpha is not None and alpha > 0:
         return float(alpha), "wolfe", f_calls
     # Armijo backtracking fallback
@@ -284,9 +280,9 @@ def _wolfe_step(f, g, x, d, fx, gx, opts: LbfgsOptions, plateau: bool) -> tuple[
     for _ in range(40):
         f_calls += 1
         f_trial = f(x + alpha * d)
-        if plateau and abs(f_trial - fx) <= opts.ftol * max(1.0, abs(fx)):
+        if plateau and abs(f_trial - fx) <= FTOL * max(1.0, abs(fx)):
             return None, "stall", f_calls
-        if f_trial <= fx + opts.c1 * alpha * slope:
+        if f_trial <= fx + C1 * alpha * slope:
             return alpha, "armijo", f_calls
         alpha *= 0.5
     return None, "failure", f_calls
@@ -296,7 +292,6 @@ def lbfgs_maximize(
     cfg: ObjectiveConfig,
     packet: EventPacket,
     theta0,
-    opts: LbfgsOptions = LbfgsOptions(),
 ) -> tuple[np.ndarray, OptTrace]:
     """Maximize the contrast objective; returns the best iterate and trace.
 
@@ -331,7 +326,7 @@ def lbfgs_maximize(
         g_evals += not ev.has_grad
         return -ev.grad()
 
-    theta, trace = _lbfgs_minimize(f, g, theta0, opts)
+    theta, trace = _lbfgs_minimize(f, g, theta0)
     trace.values = [-v for v in trace.values]
     trace.f_evals, trace.g_evals = f_evals, g_evals
     return theta, trace

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .warp import Event, EventPacket, MotionParams, RefTimePolicy, reference_time
+from .warp import Event, EventPacket, MotionParams
 from .errors import ParseError
 
 log = logging.getLogger(__name__)
@@ -124,10 +124,11 @@ def read_truth_txt(path) -> list[np.ndarray]:
     return out
 
 
-def packetize(events: EventColumns, n_e: int, policy: RefTimePolicy = RefTimePolicy.MEAN) -> list[EventPacket]:
+def packetize(events: EventColumns, n_e: int) -> list[EventPacket]:
     """Split into consecutive packets of exactly n_e events; remainder dropped.
 
-    Each packet holds slices (views) of the stream's columns.
+    Each packet holds slices (views) of the stream's columns, and its
+    reference time is the mean of its timestamps.
     """
     if n_e < 1:
         raise ValueError(f"n_e must be >= 1, got {n_e}")
@@ -135,7 +136,7 @@ def packetize(events: EventColumns, n_e: int, policy: RefTimePolicy = RefTimePol
     for start in range(0, len(events) - n_e + 1, n_e):
         s = slice(start, start + n_e)
         ts = events.ts[s]
-        packets.append(EventPacket(ts, events.xs[s], events.ys[s], events.ps[s], reference_time(ts, policy)))
+        packets.append(EventPacket(ts, events.xs[s], events.ys[s], events.ps[s], float(np.mean(ts))))
     return packets
 
 
@@ -201,7 +202,7 @@ def synth_events(scene: SyntheticScene) -> tuple[list[Event], MotionParams]:
     return [Event(t, x, y, p) for t, x, y, p in rows], motion
 
 
-def packet_from_scene(scene: SyntheticScene, policy: RefTimePolicy = RefTimePolicy.MEAN):
+def packet_from_scene(scene: SyntheticScene):
     """Convenience: one packet holding the entire synthetic stream."""
     cols, truth = synth_columns(scene)
-    return packetize(cols, len(cols), policy)[0], truth
+    return packetize(cols, len(cols))[0], truth

@@ -51,6 +51,10 @@ RECON_SUPPORT = {
     ReconKernel.LANCZOS: 2.0,
 }
 
+# knot spacing of a tabulated kappa, and the Simpson spacing of its convolution
+TABLE_STEP = 1e-3
+
+
 def eval_binning_kernel(kind: BinningKernel, x) -> np.ndarray:
     """Evaluate the binning kernel k at x (vectorized, exact zero outside support).
 
@@ -99,11 +103,10 @@ def _lanczos_raw(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_recon_kernel(kind: ReconKernel, x, *, raw_mass: bool = False) -> np.ndarray:
+def eval_recon_kernel(kind: ReconKernel, x) -> np.ndarray:
     """Evaluate the reconstruction kernel l at x.
 
-    Lanczos is renormalized to unit mass by default; pass ``raw_mass=True``
-    for the unnormalized windowed sinc.
+    Lanczos is the windowed sinc renormalized to unit mass.
     """
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
@@ -114,10 +117,7 @@ def eval_recon_kernel(kind: ReconKernel, x, *, raw_mass: bool = False) -> np.nda
         outer = 2.5 * a**2 - 0.5 * a**3 - 4.0 * a + 2.0
         return np.where(a < 1.0, inner, np.where(a <= 2.0, outer, 0.0))
     if kind == ReconKernel.LANCZOS:
-        out = _lanczos_raw(x)
-        if not raw_mass:
-            out = out / _lanczos_mass()
-        return out
+        return _lanczos_raw(x) / _lanczos_mass()
     raise ValueError(f"unknown reconstruction kernel {kind!r}")
 
 
@@ -240,15 +240,14 @@ class _ClosedFormKernel(SynthesizedKernel):
 class _TabulatedKernel(SynthesizedKernel):
     """kappa sampled on a uniform grid and fitted with a natural cubic spline.
 
-    Evaluation looks up the interval ``(x + r) / step`` directly and applies
+    Evaluation looks up the interval ``(x + r) / TABLE_STEP`` directly and applies
     Horner's rule to the spline's own piecewise coefficients.
     """
 
-    def __init__(self, k_kind, l_kind, step: float = 1e-3):
+    def __init__(self, k_kind, l_kind):
         super().__init__(k_kind, l_kind)
-        self.step = step
         r = self.support_radius
-        xs = np.arange(-r, r + step / 2, step)
+        xs = np.arange(-r, r + TABLE_STEP / 2, TABLE_STEP)
         vals = _convolve_on_grid(k_kind, l_kind, xs)
         self._spline = CubicSpline(xs, vals, bc_type="natural")
         c = self._spline.c
@@ -260,7 +259,7 @@ class _TabulatedKernel(SynthesizedKernel):
         r = self.support_radius
         knots = self._spline.x
         # x off the support is clipped onto it for the lookup, then zeroed
-        i = np.minimum(((np.clip(x, -r, r) + r) / self.step).astype(np.int64), len(knots) - 2)
+        i = np.minimum(((np.clip(x, -r, r) + r) / TABLE_STEP).astype(np.int64), len(knots) - 2)
         t = x - knots[i]
         out = coeffs[0][i]
         for c in coeffs[1:]:
@@ -274,7 +273,7 @@ class _TabulatedKernel(SynthesizedKernel):
         return self._lookup(x, self._dcoeffs)
 
 
-def _convolve_on_grid(k_kind, l_kind, xs, step: float = 1e-3) -> np.ndarray:
+def _convolve_on_grid(k_kind, l_kind, xs) -> np.ndarray:
     """Simpson evaluation of (l * k)(xs), integrating over k's support.
 
     Integrating over the binning kernel's variable keeps its jump
@@ -282,7 +281,7 @@ def _convolve_on_grid(k_kind, l_kind, xs, step: float = 1e-3) -> np.ndarray:
     piecewise smooth and Simpson converges fast.
     """
     rk = BINNING_SUPPORT[k_kind]
-    n = int(np.ceil(2 * rk / step))
+    n = int(np.ceil(2 * rk / TABLE_STEP))
     if n % 2 == 1:
         n += 1
     ys = np.linspace(-rk, rk, n + 1)

@@ -22,22 +22,16 @@ class NBParams:
 
     The pmf is gamma-extended so fractional bin values are admissible:
     log NB(h | r, p) = lnG(h+r) - lnG(h+1) - lnG(r) + r ln(1-p) + h ln(p).
-    Set ``swapped=True`` for the opposite convention (p and 1-p exchanged).
     """
 
     r: float = 0.3
     p: float = 0.8
-    swapped: bool = False
 
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError(f"r must be positive, got {self.r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-
-    @property
-    def _p_count(self) -> float:
-        return 1.0 - self.p if self.swapped else self.p
 
 
 @dataclass(frozen=True)
@@ -75,8 +69,7 @@ def score_loglik(frame: Frame, nb: NBParams = NBParams()) -> float:
     v = _values(frame)
     if np.any(v < 0):
         raise NegativeBinValueError("log-likelihood requires nonnegative bin values")
-    pc = nb._p_count
-    ll = gammaln(v + nb.r) - gammaln(v + 1.0) - gammaln(nb.r) + nb.r * np.log(1.0 - pc) + v * np.log(pc)
+    ll = gammaln(v + nb.r) - gammaln(v + 1.0) - gammaln(nb.r) + nb.r * np.log(1.0 - nb.p) + v * np.log(nb.p)
     return float(np.sum(ll))
 
 
@@ -85,8 +78,7 @@ def adjoint_loglik(frame: Frame, nb: NBParams = NBParams()) -> np.ndarray:
     v = _values(frame)
     if np.any(v < 0):
         raise NegativeBinValueError("log-likelihood requires nonnegative bin values")
-    pc = nb._p_count
-    return digamma(v + nb.r) - digamma(v + 1.0) + np.log(pc)
+    return digamma(v + nb.r) - digamma(v + 1.0) + np.log(nb.p)
 
 
 def score(frame: Frame, kind: ScoreKind) -> float:

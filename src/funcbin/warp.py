@@ -17,7 +17,6 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -41,29 +40,6 @@ class Event:
             raise ValueError(f"polarity must be -1 or +1, got {self.polarity}")
         if not math.isfinite(self.t):
             raise ValueError("timestamp must be finite")
-
-
-class RefTimePolicy(str, Enum):
-    MEAN = "mean"
-    MIDPOINT = "midpoint"
-    FIRST = "first"
-    LAST = "last"
-
-
-def reference_time(ts: np.ndarray, policy: RefTimePolicy = RefTimePolicy.MEAN) -> float:
-    """Reference timestamp of a packet under the given policy."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size == 0:
-        raise ValueError("empty timestamp array")
-    if policy == RefTimePolicy.MEAN:
-        return float(np.mean(ts))
-    if policy == RefTimePolicy.MIDPOINT:
-        return float(0.5 * (ts[0] + ts[-1]))
-    if policy == RefTimePolicy.FIRST:
-        return float(ts[0])
-    if policy == RefTimePolicy.LAST:
-        return float(ts[-1])
-    raise ValueError(f"unknown policy {policy!r}")
 
 
 @dataclass
@@ -138,37 +114,24 @@ def _motion_vector(theta) -> np.ndarray:
     return theta
 
 
-def _event_weights(packet: EventPacket, weight_mode: str) -> np.ndarray:
-    if weight_mode == "ones":
-        return np.ones(len(packet))
-    if weight_mode == "polarity":
-        return packet.ps.astype(float)
-    raise ValueError(f"unknown weight mode {weight_mode!r}")
-
-
-def _project(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray, project: bool, guard: float):
-    """Perspective divide of the columns h0, h1, h2 with a guard; returns (x, y, keep mask, divisor or None)."""
-    if not project:
-        return h0, h1, np.ones(len(h0), dtype=bool), None
+def _project(h0: np.ndarray, h1: np.ndarray, h2: np.ndarray, guard: float):
+    """Perspective divide of the columns h0, h1, h2 with a guard; returns (x, y, keep mask, divisor)."""
     keep = np.abs(h2) >= guard
     hz = np.where(keep, h2, 1.0)
     return h0 / hz, h1 / hz, keep, hz
 
 
-def _projection_rows(h0: np.ndarray, h1: np.ndarray, hz, keep: np.ndarray) -> tuple[tuple, tuple]:
+def _projection_rows(h0: np.ndarray, h1: np.ndarray, hz: np.ndarray, keep: np.ndarray) -> tuple[tuple, tuple]:
     """The two rows of d(projection)/dh at the kept events, each three columns over them."""
     zero = np.zeros(np.count_nonzero(keep))
-    if hz is None:
-        one = np.ones(len(zero))
-        return (one, zero, zero), (zero, one, zero)
     hz = hz[keep]
     inv = 1.0 / hz
     return (inv, zero, -h0[keep] / hz**2), (zero, inv, -h1[keep] / hz**2)
 
 
-def _warp_result(packet, px, py, keep, weight_mode, build_jacobian) -> WarpResult:
-    ws = _event_weights(packet, weight_mode)
-    pts = WeightedPoints(px[keep], py[keep], ws[keep])
+def _warp_result(px, py, keep, build_jacobian) -> WarpResult:
+    # every event weighs one, whatever its polarity
+    pts = WeightedPoints(px[keep], py[keep], np.ones(np.count_nonzero(keep)))
     return WarpResult(pts, keep, int(np.count_nonzero(~keep)), build_jacobian)
 
 
@@ -176,8 +139,6 @@ def warp_rotational(
     packet: EventPacket,
     omega,
     *,
-    weight_mode: str = "ones",
-    project: bool = True,
     guard: float = PROJECTION_GUARD,
 ) -> WarpResult:
     """Rotate homogeneous event coordinates by the angular-velocity model.
@@ -195,7 +156,7 @@ def warp_rotational(
     h0 = xs + dt * (w1 - w2 * ys)
     h1 = ys + dt * (w2 * xs - w0)
     h2 = 1.0 + dt * (w0 * ys - w1 * xs)
-    px, py, keep, hz = _project(h0, h1, h2, project, guard)
+    px, py, keep, hz = _project(h0, h1, h2, guard)
 
     def jacobian():
         # d(omega x X)/d(omega) = -[X]_x, so dh/domega = -dt [X]_x. Each entry of
@@ -216,22 +177,20 @@ def warp_rotational(
                 J[:, i, col] = 0.0 + P[i][0] * Jh[0][col] + P[i][1] * Jh[1][col] + P[i][2] * Jh[2][col]
         return J
 
-    return _warp_result(packet, px, py, keep, weight_mode, jacobian)
+    return _warp_result(px, py, keep, jacobian)
 
 
 def warp_translational(
     packet: EventPacket,
     v,
     *,
-    weight_mode: str = "ones",
-    project: bool = True,
     guard: float = PROJECTION_GUARD,
 ) -> WarpResult:
     """Translate homogeneous event coordinates by the linear-velocity model."""
     v0, v1, v2 = _motion_vector(v)
     dt = packet.t_ref - packet.ts
     h0, h1, h2 = packet.xs + dt * v0, packet.ys + dt * v1, 1.0 + dt * v2
-    px, py, keep, hz = _project(h0, h1, h2, project, guard)
+    px, py, keep, hz = _project(h0, h1, h2, guard)
 
     def jacobian():
         # dh/dv = dt I, so the Jacobian is dt times d(projection)/dh
@@ -243,7 +202,7 @@ def warp_translational(
                 J[:, i, col] = dtk * P[i][col]
         return J
 
-    return _warp_result(packet, px, py, keep, weight_mode, jacobian)
+    return _warp_result(px, py, keep, jacobian)
 
 
 def warp(
@@ -251,13 +210,11 @@ def warp(
     model: str,
     theta,
     *,
-    weight_mode: str = "ones",
-    project: bool = True,
     guard: float = PROJECTION_GUARD,
 ) -> WarpResult:
     """Dispatch to the rotational or translational warp by model tag."""
     if model == "rot":
-        return warp_rotational(packet, theta, weight_mode=weight_mode, project=project, guard=guard)
+        return warp_rotational(packet, theta, guard=guard)
     if model == "trans":
-        return warp_translational(packet, theta, weight_mode=weight_mode, project=project, guard=guard)
+        return warp_translational(packet, theta, guard=guard)
     raise ValueError(f"unknown motion model {model!r}")

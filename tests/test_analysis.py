@@ -138,7 +138,3 @@ def test_degree_of_precision_cubic_residual(k, expected):
     n, lhs, rhs, res = rows[3]
     assert res == pytest.approx(expected, abs=1e-6)
 
-
-def test_degree_of_precision_validates_nmax():
-    with pytest.raises(ValueError):
-        degree_of_precision(BinningKernel.RECT, ReconKernel.LINEAR, n_max=0)

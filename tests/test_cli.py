@@ -122,7 +122,7 @@ def test_grad_report(events_file, tmp_path):
     np.testing.assert_allclose(rep["points"][1]["naive"], 0.0, atol=1e-12)
     # every rule's gradient has the bits of its own objective_grad call
     args = build_parser().parse_args(argv)
-    cfg, packets = _objective_setup(args)
+    cfg, packets = _objective_setup(args, Naive())
     modes = {"naive": Naive(), "fbp-linear": FBP(ReconKernel.LINEAR), "ste": STE(), "sigmoid": Sigmoid()}
     for point in rep["points"]:
         theta = np.array(point["theta"])
@@ -137,6 +137,27 @@ def test_zero_ne_is_runtime_error(events_file, tmp_path, capsys, command):
     assert rc == 1
     parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert parsed["message"] == "n_e must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("ne", ["0", "-5"])
+def test_synth_rejects_nonpositive_ne(tmp_path, capsys, ne):
+    """--ne below 1 is refused before any file is written."""
+    out = tmp_path / "events.txt"
+    assert main(["synth", "--ne", ne, "--out", str(out)]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert parsed["message"] == f"--ne must be >= 1, got {ne}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["bin", "estimate"])
+@pytest.mark.parametrize("scale", ["0", "-2", "nan", "inf"])
+def test_bad_scale_is_runtime_error(events_file, tmp_path, capsys, command, scale):
+    """A scale that is not positive and finite is refused before anything is binned or solved."""
+    out = tmp_path / "out"
+    assert main([command, "--in", str(events_file), "--scale", scale, "--out", str(out)]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert parsed["message"] == f"--scale must be positive and finite, got {float(scale)}"
+    assert not out.exists()
 
 
 def test_nonfinite_coordinate_names_its_line(tmp_path, capsys):
@@ -168,6 +189,26 @@ def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--kernel", "cauchy"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bin", "--score", "ll"],
+        ["grad", "--grad", "ste"],
+        ["bias", "--grad", "ste"],
+        ["estimate", "--seed", "1"],
+        ["precision", "--in", "f"],
+        ["synth", "--kernel", "gauss"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_flag_a_subcommand_does_not_read_exits_2(argv, capsys):
+    """Each subcommand takes only the flags it reads; any other is an argument error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

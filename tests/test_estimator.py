@@ -7,7 +7,6 @@ from funcbin import (
     FBP,
     BinningKernel,
     FrameGrid,
-    LbfgsOptions,
     MotionParams,
     Naive,
     ObjectiveConfig,
@@ -21,7 +20,6 @@ from funcbin import (
     rms_error,
 )
 from funcbin import estimator
-from funcbin.analysis import mode_name
 from funcbin.errors import LengthMismatchError
 from funcbin.estimator import _lbfgs_minimize
 from funcbin.events_io import SyntheticScene, packet_from_scene
@@ -85,7 +83,7 @@ def test_lbfgs_exact_on_quadratic():
     c = np.array([1.5, -2.0, 0.25])
     f = lambda x: float(np.sum((x - c) ** 2))
     g = lambda x: 2.0 * (x - c)
-    x, trace = _lbfgs_minimize(f, g, np.array([5.0, 5.0, 5.0]), LbfgsOptions())
+    x, trace = _lbfgs_minimize(f, g, np.array([5.0, 5.0, 5.0]))
     assert np.linalg.norm(x - c) < 1e-8
     assert len(trace.values) - 1 <= 10
     assert trace.converged
@@ -116,7 +114,7 @@ def _unmemoized_solve(cfg, packet, calls):
         calls.append(("g", th.tobytes()))
         return -objective_grad(cfg, packet, th)
 
-    return _lbfgs_minimize(f, g, np.zeros(3), LbfgsOptions())
+    return _lbfgs_minimize(f, g, np.zeros(3))
 
 
 @pytest.mark.parametrize("recon", [ReconKernel.LINEAR, ReconKernel.CUBIC])
@@ -179,12 +177,11 @@ def test_plateau_ends_in_stall(packet, recon, monkeypatch):
         return values[-1]
 
     monkeypatch.setattr(estimator, "line_search", counted)
-    opts = LbfgsOptions()
-    _, trace = _lbfgs_minimize(f, lambda th: -objective_grad(cfg, packet, th), np.zeros(3), opts)
+    _, trace = _lbfgs_minimize(f, lambda th: -objective_grad(cfg, packet, th), np.zeros(3))
     assert (trace.reason, trace.converged) == ("stall", True)
 
     def flat(a, b):
-        return abs(a - b) <= opts.ftol * max(1.0, abs(a))
+        return abs(a - b) <= estimator.FTOL * max(1.0, abs(a))
 
     vals, searches = trace.values, trace.line_searches
     steps_flat = [flat(a, b) for a, b in zip(vals, vals[1:])]
@@ -217,7 +214,7 @@ PLANTED_CELLS = [
 
 
 @pytest.mark.parametrize(
-    "model,kernel,mode,floor", PLANTED_CELLS, ids=[f"{m}-{k.value}-{mode_name(r)}" for m, k, r, _ in PLANTED_CELLS]
+    "model,kernel,mode,floor", PLANTED_CELLS, ids=[f"{m}-{k.value}-{r.name}" for m, k, r, _ in PLANTED_CELLS]
 )
 def test_planted_truth_matrix(model, kernel, mode, floor):
     """L-BFGS from theta = 0 recovers planted motion on at least ``floor`` of the four scenes."""

@@ -29,7 +29,7 @@ from funcbin.events_io import (
     write_events_txt,
     write_truth_txt,
 )
-from funcbin.warp import EventPacket, reference_time
+from funcbin.warp import EventPacket
 
 
 def _columns(events) -> EventColumns:
@@ -215,18 +215,17 @@ def test_packetize_validates_ne():
         packetize(empty, 0)
 
 
-@pytest.mark.parametrize("policy", ["mean", "midpoint", "first", "last"])
-def test_packets_are_slices_of_the_columns(policy):
-    """Each packet holds its events' values and the reference time of its own events, bit for bit."""
+def test_packets_are_slices_of_the_columns():
+    """Each packet holds its events' values and the mean time of its own events, bit for bit."""
     events, _ = synth_events(SyntheticScene(seed=2, n_points=13, events_per_point=7, noise_std=0.01))
     cols = _columns(events)
-    packets = packetize(cols, 25, policy)
+    packets = packetize(cols, 25)
     assert len(packets) == len(events) // 25
     for i, p in enumerate(packets):
         rows = events[25 * i : 25 * (i + 1)]
         for got, name in ((p.ts, "t"), (p.xs, "x"), (p.ys, "y"), (p.ps, "polarity")):
             assert got.tobytes() == np.array([getattr(e, name) for e in rows], dtype=got.dtype).tobytes()
-        assert p.t_ref == reference_time(np.array([e.t for e in rows]), policy)
+        assert p.t_ref == float(np.mean(np.array([e.t for e in rows])))
 
 
 @pytest.mark.parametrize("motion", ["rot", "trans"])

@@ -69,13 +69,6 @@ def test_loglik_adjoint_matches_fd():
             assert adj[u, v] == pytest.approx(fd, abs=1e-7)
 
 
-def test_loglik_swapped_convention():
-    f = _frame([[1.0, 2.0]])
-    a = score_loglik(f, NBParams(0.3, 0.8, swapped=False))
-    b = score_loglik(f, NBParams(0.3, 0.2, swapped=True))
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_loglik_rejects_negative_bins():
     f = _frame([[-0.5, 1.0]])
     with pytest.raises(NegativeBinValueError):

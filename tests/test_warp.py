@@ -1,14 +1,14 @@
-"""Warp models, reference-time policies, and Jacobian correctness."""
+"""Warp models, the packet reference time, and Jacobian correctness."""
 
 import numpy as np
 import pytest
 
 from funcbin import (
     Event,
+    EventColumns,
     EventPacket,
     MotionParams,
-    RefTimePolicy,
-    reference_time,
+    packetize,
     warp,
     warp_rotational,
     warp_translational,
@@ -31,11 +31,10 @@ def _packet(n=40, seed=0):
 
 
 def test_reference_time_policies():
+    """The one reference-time policy: a packet's t_ref is the mean of its timestamps."""
     ts = np.array([0.0, 1.0, 5.0])
-    assert reference_time(ts, RefTimePolicy.MEAN) == pytest.approx(2.0)
-    assert reference_time(ts, RefTimePolicy.MIDPOINT) == pytest.approx(2.5)
-    assert reference_time(ts, RefTimePolicy.FIRST) == 0.0
-    assert reference_time(ts, RefTimePolicy.LAST) == 5.0
+    (pkt,) = packetize(EventColumns(ts, np.zeros(3), np.zeros(3), np.ones(3, dtype=np.int64)), 3)
+    assert pkt.t_ref == pytest.approx(2.0)
 
 
 def test_event_polarity_validated():
@@ -59,6 +58,7 @@ def test_zero_motion_is_identity():
         res = warp(pkt, model, np.zeros(3))
         np.testing.assert_allclose(res.points.xs, pkt.xs, atol=1e-14)
         np.testing.assert_allclose(res.points.ys, pkt.ys, atol=1e-14)
+        assert np.all(res.points.ws == 1.0)  # each event weighs one, whatever its polarity
         assert res.n_excluded == 0
 
 
@@ -98,30 +98,28 @@ def test_jacobian_matches_fd(model):
 
 
 @pytest.mark.parametrize("model", ["rot", "trans"])
-@pytest.mark.parametrize("project", [True, False])
 @pytest.mark.parametrize("guard", [1e-6, 1.0])
-def test_points_match_stacked_oracle(model, project, guard):
+def test_points_match_stacked_oracle(model, guard):
     """The column-by-column warp gives the bits of the stacked np.cross construction."""
     pkt = _packet(n=500, seed=4)
     for theta in ([0.8, -0.4, 1.1], [30.0, -12.0, 45.0], [0.0, 0.0, 0.0], [-0.0, 2.5, -0.0]):
-        res = warp(pkt, model, theta, project=project, guard=guard)
-        xs, ys, keep = warp_oracle.points(pkt, model, theta, project=project, guard=guard)
+        res = warp(pkt, model, theta, guard=guard)
+        xs, ys, keep = warp_oracle.points(pkt, model, theta, guard=guard)
         assert np.array_equal(res.kept, keep) and res.n_excluded == np.count_nonzero(~keep)
         assert np.array_equal(res.points.xs.view(np.uint64), xs.view(np.uint64))
         assert np.array_equal(res.points.ys.view(np.uint64), ys.view(np.uint64))
 
 
 @pytest.mark.parametrize("model", ["rot", "trans"])
-@pytest.mark.parametrize("project", [True, False])
 @pytest.mark.parametrize("guard", [1e-6, 1.0])
-def test_jacobian_matches_dense_oracle(model, project, guard):
+def test_jacobian_matches_dense_oracle(model, guard):
     """The column-by-column Jacobian gives the dense einsum construction's bits."""
     pkt = _packet(n=500, seed=4)
     for theta in ([0.8, -0.4, 1.1], [30.0, -12.0, 45.0], [0.0, 0.0, 0.0]):
-        res = warp(pkt, model, theta, project=project, guard=guard)
-        if project and guard == 1.0 and any(theta):
+        res = warp(pkt, model, theta, guard=guard)
+        if guard == 1.0 and any(theta):
             assert 0 < res.n_excluded < len(pkt)  # the guard excludes some events
-        want = warp_oracle.jacobian(pkt, model, theta, project=project, guard=guard)
+        want = warp_oracle.jacobian(pkt, model, theta, guard=guard)
         J = res.jacobian
         assert J.shape == (len(res.points), 2, 3)
         assert np.array_equal(J.view(np.uint64), want.view(np.uint64))
@@ -136,12 +134,6 @@ def test_projection_guard_excludes_events():
     assert res.n_excluded >= 1
     assert len(res.points) == len(pkt) - res.n_excluded
     assert res.kept.sum() == len(res.points)
-
-
-def test_polarity_weight_mode():
-    pkt = _packet()
-    res = warp_rotational(pkt, np.zeros(3), weight_mode="polarity")
-    np.testing.assert_array_equal(res.points.ws, pkt.ps.astype(float))
 
 
 def test_motion_params_validation():

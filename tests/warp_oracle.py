@@ -13,14 +13,8 @@ import numpy as np
 from funcbin.warp import PROJECTION_GUARD
 
 
-def _projection_derivative(h, project, guard):
+def _projection_derivative(h, guard):
     n = len(h)
-    if not project:
-        keep = np.ones(n, dtype=bool)
-        P = np.zeros((n, 2, 3))
-        P[:, 0, 0] = 1.0
-        P[:, 1, 1] = 1.0
-        return keep, P
     z = h[:, 2]
     keep = np.abs(z) >= guard
     hz = np.where(keep, z, 1.0)
@@ -42,20 +36,18 @@ def _stacked(packet, model, theta):
     return dt, X, X + dt[:, None] * theta[None, :]
 
 
-def points(packet, model, theta, *, project=True, guard=PROJECTION_GUARD):
+def points(packet, model, theta, *, guard=PROJECTION_GUARD):
     """(xs, ys, keep): the projected points of ``funcbin.warp`` at the kept events, and the mask."""
     _, _, h = _stacked(packet, model, theta)
-    if not project:
-        return h[:, 0], h[:, 1], np.ones(len(h), dtype=bool)
     keep = np.abs(h[:, 2]) >= guard
     hz = np.where(keep, h[:, 2], 1.0)
     return (h[:, 0] / hz)[keep], (h[:, 1] / hz)[keep], keep
 
 
-def jacobian(packet, model, theta, *, project=True, guard=PROJECTION_GUARD):
+def jacobian(packet, model, theta, *, guard=PROJECTION_GUARD):
     """The (n_kept, 2, 3) warp Jacobian of ``funcbin.warp`` by the dense construction."""
     dt, X, h = _stacked(packet, model, theta)
-    keep, P = _projection_derivative(h, project, guard)
+    keep, P = _projection_derivative(h, guard)
     if model == "rot":
         n = len(packet)
         skew = np.zeros((n, 3, 3))
