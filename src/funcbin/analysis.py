@@ -25,13 +25,7 @@ from scipy.integrate import simpson
 
 from .binning import GradMode
 from .estimator import ObjectiveConfig, _Evaluation, objective_value
-from .kernels import (
-    BINNING_SUPPORT,
-    BinningKernel,
-    ReconKernel,
-    eval_binning_kernel,
-    synthesize_kappa,
-)
+from .kernels import BINNING_SUPPORT, BinningKernel, ReconKernel, _simpson_nodes, eval_binning_kernel, synthesize_kappa
 from .warp import EventPacket
 
 
@@ -187,17 +181,10 @@ def degree_of_precision(k: BinningKernel, l: ReconKernel) -> list[tuple[int, flo
     """
     step = 1e-4
     sk = synthesize_kappa(k, l)
-    r = sk.support_radius
-    npts = int(np.ceil(2 * r / step))
-    if npts % 2 == 1:
-        npts += 1
-    xs = np.linspace(-r, r, npts + 1)
+    xs = _simpson_nodes(sk.support_radius, step)
     kp = sk.kappa_prime(xs)
     rk = BINNING_SUPPORT[k]
-    nk = int(np.ceil(2 * rk / step))
-    if nk % 2 == 1:
-        nk += 1
-    xk = np.linspace(-rk, rk, nk + 1)
+    xk = _simpson_nodes(rk, step)
     kv = eval_binning_kernel(k, np.clip(xk, -rk + 1e-12, rk - 1e-12))
     out = []
     for deg in range(4):

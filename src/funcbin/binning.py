@@ -38,7 +38,9 @@ from .kernels import (
 class FrameGrid:
     """Uniform bin grid: ``width x height`` bins of spacing ``delta``.
 
-    Bin (u, v) is centered at ``origin + (u, v) * delta`` in point coordinates.
+    Bin (u, v) is centered at ``origin + (u, v) * delta`` in point coordinates,
+    which for the objective are warped event coordinates. Points scaled by s
+    land in the bins that the grid ``(delta / s, origin / s)`` gives them.
     """
 
     width: int
@@ -47,9 +49,10 @@ class FrameGrid:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.delta <= 0.0:
+        if not (self.width >= 1 and self.height >= 1 and 0.0 < self.delta < np.inf and np.isfinite(self.origin).all()):
             raise InvalidGridError(
-                f"need width >= 1, height >= 1, delta > 0; got {self.width}x{self.height}, delta={self.delta}"
+                "need width >= 1, height >= 1, finite delta > 0 and a finite origin; "
+                f"got {self.width}x{self.height}, delta={self.delta}, origin={self.origin}"
             )
 
     @property
@@ -263,8 +266,8 @@ def bin_vjp(
 
 def bin_forward_1d(xs, ws, width: int, delta: float, origin: float, k: BinningKernel) -> np.ndarray:
     """1D binning primal; mirrors the 2D pass on a single axis."""
-    if width < 1 or delta <= 0.0:
-        raise InvalidGridError(f"need width >= 1 and delta > 0; got {width}, {delta}")
+    if not (width >= 1 and 0.0 < delta < np.inf and np.isfinite(origin)):
+        raise InvalidGridError(f"need width >= 1, finite delta > 0 and a finite origin; got {width}, {delta}, {origin}")
     xs = np.asarray(xs, dtype=float)
     ws = np.asarray(ws, dtype=float)
     if len(xs) != len(ws):

@@ -45,8 +45,8 @@ _FLAGS = {
     "--in": dict(dest="infile", default=None, help="input events file"),
     "--out": dict(default=None, help="output file"),
     "--truth": dict(default=None, help="truth file (read by estimate, written by synth)"),
-    "--kernel": dict(choices=["rect", "linear", "gauss"], default="rect"),
-    "--recon": dict(choices=["linear", "cubic", "lanczos"], default="linear"),
+    "--kernel": dict(choices=[k.value for k in BinningKernel], default="rect"),
+    "--recon": dict(choices=[r.value for r in ReconKernel], default="linear"),
     "--grad": dict(choices=["naive", "fbp", "ste", "sigmoid"], default="fbp"),
     "--score": dict(choices=["var", "ll"], default="var"),
     "--model": dict(choices=["rot", "trans"], default="rot"),
@@ -96,20 +96,32 @@ def _all_modes(args):
     return [Naive(), FBP(ReconKernel(args.recon)), STE(), Sigmoid()]
 
 
-_KERNELS = {"rect": BinningKernel.RECT, "linear": BinningKernel.LINEAR, "gauss": BinningKernel.GAUSS_TRUNC}
+def _event_grid(args, events) -> tuple[FrameGrid, float]:
+    """The flags' grid in event coordinates, spacing ``delta / s`` and origin ``offset / s``, and the scale s.
 
-
-def _auto_scale(args, events) -> float:
-    """``--scale``, or else the scale that fits the event bounding box into the grid interior with a 5% margin."""
-    if args.scale is not None:
-        if not (args.scale > 0 and math.isfinite(args.scale)):
-            raise FuncbinError(f"--scale must be positive and finite, got {args.scale}")
-        return args.scale
-    span_x = float(events.xs.max() - events.xs.min()) or 1.0
-    span_y = float(events.ys.max() - events.ys.min()) or 1.0
-    gx = args.width * args.delta
-    gy = args.height * args.delta
-    return 0.9 * min(gx / span_x, gy / span_y)
+    s is ``--scale``, or else fits the event bounding box into the grid interior
+    with a 5% margin. A mapping that puts no event on the grid is refused.
+    """
+    # refuse bad flags before the auto-scale can cancel them (a negative delta gives a positive delta / s)
+    FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y))
+    if args.scale is None:
+        span_x = float(events.xs.max() - events.xs.min()) or 1.0
+        span_y = float(events.ys.max() - events.ys.min()) or 1.0
+        s = 0.9 * min(args.width * args.delta / span_x, args.height * args.delta / span_y)
+    elif args.scale > 0 and math.isfinite(args.scale):
+        s = args.scale
+    else:
+        raise FuncbinError(f"--scale must be positive and finite, got {args.scale}")
+    grid = FrameGrid(args.width, args.height, args.delta / s, (args.offset_x / s, args.offset_y / s))
+    # bin (u, v) covers [u - 1/2, u + 1/2) x [v - 1/2, v + 1/2) in bin units
+    u = (events.xs - grid.origin[0]) / grid.delta
+    v = (events.ys - grid.origin[1]) / grid.delta
+    if not np.any((u >= -0.5) & (u < grid.width - 0.5) & (v >= -0.5) & (v < grid.height - 0.5)):
+        raise FuncbinError(
+            f"no event lies on the {grid.width}x{grid.height} grid at zero motion under scale {s:.6g}; "
+            "check --scale and --offset-x/-y"
+        )
+    return grid, s
 
 
 def _require_infile(args):
@@ -121,19 +133,19 @@ def _require_infile(args):
     return events
 
 
-def _objective_setup(args, mode: GradMode) -> tuple[ObjectiveConfig, list[EventPacket]]:
-    """The objective under ``mode`` and the packets of ``--ne`` events (capped at the stream length) of ``--in``."""
+def _objective_setup(args, mode: GradMode) -> tuple[ObjectiveConfig, list[EventPacket], float]:
+    """The objective under ``mode``, the packets of ``--ne`` events (at most all) of ``--in``, and the scale."""
     events = _require_infile(args)
     packets = packetize(events, min(args.ne, len(events)))
+    grid, scale = _event_grid(args, events)
     cfg = ObjectiveConfig(
-        kernel=_KERNELS[args.kernel],
+        kernel=BinningKernel(args.kernel),
         mode=mode,
         score=ScoreKind(args.score, NBParams(r=args.r, p=args.p)),
-        grid=FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y)),
+        grid=grid,
         model=args.model,
-        scale=_auto_scale(args, events),
     )
-    return cfg, packets
+    return cfg, packets, scale
 
 
 def _write_frame_csv(path, frame) -> None:
@@ -146,10 +158,9 @@ def _write_frame_csv(path, frame) -> None:
 def cmd_bin(args) -> int:
     """Bin events into a frame at zero motion and write it as CSV."""
     events = _require_infile(args)
-    scale = _auto_scale(args, events)
-    grid = FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y))
-    pts = WeightedPoints(scale * events.xs, scale * events.ys, np.ones(len(events)))
-    frame = bin_forward(pts, grid, _KERNELS[args.kernel])
+    grid, scale = _event_grid(args, events)
+    pts = WeightedPoints(events.xs, events.ys, np.ones(len(events)))
+    frame = bin_forward(pts, grid, BinningKernel(args.kernel))
     out = args.out or "frame.csv"
     _write_frame_csv(out, frame)
     print(f"wrote {out}: {grid.width}x{grid.height} frame, mass {frame.values.sum():.6f}, scale {scale:.6g}")
@@ -159,7 +170,7 @@ def cmd_bin(args) -> int:
 def cmd_grad(args) -> int:
     """Compare analytic gradients under every mode against finite differences."""
     modes = _all_modes(args)
-    cfg, packets = _objective_setup(args, modes[0])  # unused: the report asks each mode by name
+    cfg, packets, _ = _objective_setup(args, modes[0])  # unused: the report asks each mode by name
     rng = np.random.default_rng(args.seed)
     thetas = [np.zeros(3)] + [rng.uniform(args.grid_lo, args.grid_hi, 3) for _ in range(4)]
     rep = bias_report(cfg, packets[0], np.array(thetas), modes, args.fd_step)
@@ -180,7 +191,7 @@ def cmd_grad(args) -> int:
 def cmd_bias(args) -> int:
     """Run the parameter-grid bias report over all gradient modes."""
     modes = _all_modes(args)
-    cfg, packets = _objective_setup(args, modes[0])  # unused: the report asks each mode by name
+    cfg, packets, _ = _objective_setup(args, modes[0])  # unused: the report asks each mode by name
     report = bias_grid(cfg, packets[0], modes, args.grid_lo, args.grid_hi, args.grid_n, args.fd_step)
     out = args.out or "bias.csv"
     report.write_csv(out)
@@ -197,7 +208,7 @@ def cmd_bias(args) -> int:
 
 def cmd_estimate(args) -> int:
     """Estimate motion per packet with L-BFGS; report RMS against optional truth."""
-    cfg, packets = _objective_setup(args, _grad_mode(args))
+    cfg, packets, scale = _objective_setup(args, _grad_mode(args))
     truths = read_truth_txt(args.truth) if args.truth else None
     per_packet = []
     estimates = []
@@ -226,7 +237,7 @@ def cmd_estimate(args) -> int:
             "model": args.model,
             "ne": len(packets[0]),
             "grid": [args.width, args.height, args.delta],
-            "scale": cfg.scale,
+            "scale": scale,
         },
         "n_packets": len(packets),
         "per_packet": per_packet,
@@ -250,7 +261,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_precision(args) -> int:
     """Print the integration-by-parts residual table for the kernel pair."""
-    rows = degree_of_precision(_KERNELS[args.kernel], ReconKernel(args.recon))
+    rows = degree_of_precision(BinningKernel(args.kernel), ReconKernel(args.recon))
     print(f"kernel {args.kernel}, recon {args.recon}")
     print("n    lhs            rhs            residual")
     for n, lhs, rhs, res in rows:

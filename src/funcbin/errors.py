@@ -6,7 +6,7 @@ class FuncbinError(Exception):
 
 
 class InvalidGridError(FuncbinError):
-    """Frame grid has non-positive dimensions or spacing."""
+    """Frame grid has non-positive dimensions, a spacing that is not finite and positive, or a non-finite origin."""
 
 
 class LengthMismatchError(FuncbinError):
@@ -19,10 +19,6 @@ class NonFiniteThetaError(FuncbinError, ValueError):
 
 class ShapeMismatchError(FuncbinError):
     """An adjoint or frame does not match the grid shape."""
-
-
-class EmptyFrameError(FuncbinError):
-    """A score was requested on a frame with no bins."""
 
 
 class NegativeBinValueError(FuncbinError):

@@ -1,6 +1,7 @@
 """Warp -> binning -> score composition and L-BFGS maximization.
 
-The objective is a scalar function of the three motion parameters. Its
+The objective is a scalar function of the three motion parameters. The
+warped events are binned as they are, on a grid in event coordinates. Its
 gradient flows backward through the score adjoint, the binning VJP under
 the configured derivative rule, and the analytic warp Jacobians.
 
@@ -23,11 +24,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import line_search
 
-from .binning import FrameGrid, GradMode, WeightedPoints, bin_forward, bin_vjp
+from .binning import FrameGrid, GradMode, bin_forward, bin_vjp
 from .errors import LengthMismatchError
 from .kernels import BinningKernel
 from .objectives import ScoreKind, adjoint, score
-from .warp import EventPacket, WarpResult, warp
+from .warp import EventPacket, warp
 
 
 @dataclass(frozen=True)
@@ -39,28 +40,21 @@ class ObjectiveConfig:
     score: ScoreKind
     grid: FrameGrid
     model: str = "rot"
-    scale: float = 1.0
-
-
-def _warp_to_grid(cfg: ObjectiveConfig, packet: EventPacket, theta) -> tuple[WeightedPoints, WarpResult]:
-    res = warp(packet, cfg.model, theta)
-    pts = WeightedPoints(cfg.scale * res.points.xs, cfg.scale * res.points.ys, res.points.ws)
-    return pts, res
 
 
 class _Evaluation:
     """warp -> bin_forward -> score at one theta, with gradients completed on demand.
 
-    A gradient (score adjoint -> ``bin_vjp`` -> warp Jacobian chain) reuses
-    the warped points and the frame of the value. The adjoint and the
-    Jacobian are shared by every rule, and each rule's gradient is computed
-    at most once.
+    The warp's points are binned on ``cfg.grid`` as they are. A gradient
+    (score adjoint -> ``bin_vjp`` -> warp Jacobian chain) reuses those
+    points and the frame of the value. The adjoint and the Jacobian are
+    shared by every rule, and each rule's gradient is computed at most once.
     """
 
     def __init__(self, cfg: ObjectiveConfig, packet: EventPacket, theta):
         self.cfg = cfg
-        self.pts, self.res = _warp_to_grid(cfg, packet, theta)
-        self.frame = bin_forward(self.pts, cfg.grid, cfg.kernel)
+        self.res = warp(packet, cfg.model, theta)
+        self.frame = bin_forward(self.res.points, cfg.grid, cfg.kernel)
         self.value = score(self.frame, cfg.score)
         self._grads: dict[GradMode, np.ndarray] = {}
 
@@ -73,10 +67,10 @@ class _Evaluation:
         mode = self.cfg.mode if mode is None else mode
         if mode not in self._grads:
             cfg = self.cfg
-            gx, gy = bin_vjp(self.pts, self._adjoint, cfg.grid, cfg.kernel, mode)
+            gx, gy = bin_vjp(self.res.points, self._adjoint, cfg.grid, cfg.kernel, mode)
             J = self.res.jacobian
-            # chain through the coordinate scale and the per-event warp Jacobians
-            contrib = cfg.scale * (gx[:, None] * J[:, 0, :] + gy[:, None] * J[:, 1, :])
+            # chain through the per-event warp Jacobians
+            contrib = gx[:, None] * J[:, 0, :] + gy[:, None] * J[:, 1, :]
             self._grads[mode] = contrib.sum(axis=0)
         return self._grads[mode]
 

@@ -273,6 +273,12 @@ class _TabulatedKernel(SynthesizedKernel):
         return self._lookup(x, self._dcoeffs)
 
 
+def _simpson_nodes(r: float, step: float) -> np.ndarray:
+    """Nodes of Simpson's rule on [-r, r]: the fewest even number of intervals of spacing <= ``step``."""
+    n = int(np.ceil(2 * r / step))
+    return np.linspace(-r, r, n + n % 2 + 1)
+
+
 def _convolve_on_grid(k_kind, l_kind, xs) -> np.ndarray:
     """Simpson evaluation of (l * k)(xs), integrating over k's support.
 
@@ -281,10 +287,7 @@ def _convolve_on_grid(k_kind, l_kind, xs) -> np.ndarray:
     piecewise smooth and Simpson converges fast.
     """
     rk = BINNING_SUPPORT[k_kind]
-    n = int(np.ceil(2 * rk / TABLE_STEP))
-    if n % 2 == 1:
-        n += 1
-    ys = np.linspace(-rk, rk, n + 1)
+    ys = _simpson_nodes(rk, TABLE_STEP)
     ky = eval_binning_kernel(k_kind, np.clip(ys, -rk + 1e-12, rk - 1e-12))
     out = np.empty(len(xs))
     block = 512

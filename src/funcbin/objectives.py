@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .binning import Frame
-from .errors import EmptyFrameError, NegativeBinValueError
+from .errors import NegativeBinValueError
 
 
 @dataclass(frozen=True)
@@ -46,27 +46,20 @@ class ScoreKind:
             raise ValueError(f"score tag must be 'var' or 'll', got {self.tag!r}")
 
 
-def _values(frame: Frame) -> np.ndarray:
-    v = frame.values
-    if v.size == 0:
-        raise EmptyFrameError("frame has no bins")
-    return v
-
-
 def score_variance(frame: Frame) -> float:
     """Population variance of the frame values."""
-    return float(np.var(_values(frame)))
+    return float(np.var(frame.values))
 
 
 def adjoint_variance(frame: Frame) -> np.ndarray:
     """d Var / d values: (2 / N) (h - mean)."""
-    v = _values(frame)
+    v = frame.values
     return (2.0 / v.size) * (v - v.mean())
 
 
 def score_loglik(frame: Frame, nb: NBParams = NBParams()) -> float:
     """Sum of per-bin negative-binomial log pmf values."""
-    v = _values(frame)
+    v = frame.values
     if np.any(v < 0):
         raise NegativeBinValueError("log-likelihood requires nonnegative bin values")
     ll = gammaln(v + nb.r) - gammaln(v + 1.0) - gammaln(nb.r) + nb.r * np.log(1.0 - nb.p) + v * np.log(nb.p)
@@ -75,7 +68,7 @@ def score_loglik(frame: Frame, nb: NBParams = NBParams()) -> float:
 
 def adjoint_loglik(frame: Frame, nb: NBParams = NBParams()) -> np.ndarray:
     """d LL / d values: digamma(h+r) - digamma(h+1) + ln(p)."""
-    v = _values(frame)
+    v = frame.values
     if np.any(v < 0):
         raise NegativeBinValueError("log-likelihood requires nonnegative bin values")
     return digamma(v + nb.r) - digamma(v + 1.0) + np.log(nb.p)

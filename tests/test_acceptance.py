@@ -31,6 +31,7 @@ from funcbin import (
     objective_grad,
     objective_value,
     synthesize_kappa,
+    warp,
 )
 from funcbin.events_io import SyntheticScene, packet_from_scene, packetize, read_events_txt
 from kernel_oracle import kappa_mass, kernel_mass, numeric_convolve_oracle
@@ -107,15 +108,13 @@ def test_adjoint_consistency():
 
 def test_forward_invariance():
     """Binned frames are bit-identical regardless of the gradient rule."""
-    from funcbin.estimator import _warp_to_grid
-
     pkt, _ = packet_from_scene(SyntheticScene(seed=5, n_points=20, events_per_point=10))
     theta = np.array([0.3, -0.7, 1.2])
     frames = []
     vals = []
     for mode in ALL_MODES:
         cfg = ObjectiveConfig(BinningKernel.RECT, mode, ScoreKind("var"), GRID)
-        pts, _ = _warp_to_grid(cfg, pkt, theta)
+        pts = warp(pkt, cfg.model, theta).points
         frames.append(bin_forward(pts, cfg.grid, cfg.kernel).values)
         vals.append(objective_value(cfg, pkt, theta))
     ok = all(np.array_equal(frames[0], f) for f in frames[1:]) and all(v == vals[0] for v in vals)
@@ -152,9 +151,7 @@ def test_degree_of_precision():
 
 def _away_from_kinks(cfg, pkt, theta, margin=1e-3):
     """True when no warped event sits within margin bins of a kernel kink."""
-    from funcbin.estimator import _warp_to_grid
-
-    pts, _ = _warp_to_grid(cfg, pkt, theta)
+    pts = warp(pkt, cfg.model, theta).points
     xn = pts.xs / cfg.grid.delta
     yn = pts.ys / cfg.grid.delta
     dist = min(

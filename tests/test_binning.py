@@ -51,6 +51,12 @@ def test_grid_validation():
         FrameGrid(0, 5, 0.1)
     with pytest.raises(InvalidGridError):
         FrameGrid(5, 5, 0.0)
+    # a non-finite spacing or origin fails every comparison a bare `delta <= 0` check makes
+    for delta, origin in ((np.nan, 0.0), (np.inf, 0.0), (0.1, np.nan), (0.1, -np.inf)):
+        with pytest.raises(InvalidGridError):
+            FrameGrid(10, 10, delta, (0.0, origin))
+        with pytest.raises(InvalidGridError):
+            bin_forward_1d([0.5], [1.0], 10, delta, origin, BinningKernel.RECT)
 
 
 def test_points_validation():

@@ -7,8 +7,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from funcbin import FBP, Naive, ReconKernel, STE, Sigmoid, objective_grad
-from funcbin.cli import _objective_setup, build_parser, main
+from funcbin import (
+    FBP,
+    BinningKernel,
+    FrameGrid,
+    Naive,
+    ReconKernel,
+    STE,
+    Sigmoid,
+    WeightedPoints,
+    bin_forward,
+    objective_grad,
+    read_events_txt,
+)
+from funcbin.cli import _objective_setup, _write_frame_csv, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +134,7 @@ def test_grad_report(events_file, tmp_path):
     np.testing.assert_allclose(rep["points"][1]["naive"], 0.0, atol=1e-12)
     # every rule's gradient has the bits of its own objective_grad call
     args = build_parser().parse_args(argv)
-    cfg, packets = _objective_setup(args, Naive())
+    cfg, packets, _ = _objective_setup(args, Naive())
     modes = {"naive": Naive(), "fbp-linear": FBP(ReconKernel.LINEAR), "ste": STE(), "sigmoid": Sigmoid()}
     for point in rep["points"]:
         theta = np.array(point["theta"])
@@ -158,6 +170,43 @@ def test_bad_scale_is_runtime_error(events_file, tmp_path, capsys, command, scal
     parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert parsed["message"] == f"--scale must be positive and finite, got {float(scale)}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bin", "estimate"])
+@pytest.mark.parametrize("flags", [["--scale", "1000"], ["--offset-x", "100"]], ids=["scale", "offset"])
+def test_mapping_with_no_event_on_the_grid_is_runtime_error(events_file, tmp_path, capsys, command, flags):
+    """A mapping that puts every event off the grid is refused, not binned into an empty frame or solved to 0."""
+    out = tmp_path / "out"
+    assert main([command, "--in", str(events_file), *flags, "--out", str(out)]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert parsed["error"] == "FuncbinError"
+    assert "--scale" in parsed["message"] and "--offset-x/-y" in parsed["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--delta", "--offset-x"])
+def test_nonfinite_grid_flag_is_invalid_grid(events_file, tmp_path, capsys, flag):
+    out = tmp_path / "frame.csv"
+    assert main(["bin", "--in", str(events_file), flag, "nan", "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "InvalidGridError"
+    assert not out.exists()
+
+
+def test_bin_divides_spacing_and_origin_by_the_scale(tmp_path):
+    """``bin --scale s --offset-x o`` bins the events on the grid (delta / s, o / s): the frame of
+    the s-scaled events on the grid (delta, o), to the bit for s = 4."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "events.txt"
+    xs, ys = rng.uniform(0.0, 0.5, 500), rng.uniform(0.0, 0.37, 500)
+    path.write_text("".join(f"{i * 1e-4!r} {float(x)!r} {float(y)!r} 1\n" for i, (x, y) in enumerate(zip(xs, ys))))
+    out = tmp_path / "frame.csv"
+    assert main(["bin", "--in", str(path), "--scale", "4", "--offset-x", "0.03", "--out", str(out)]) == 0
+    events = read_events_txt(path)
+    pts = WeightedPoints(4.0 * events.xs, 4.0 * events.ys, np.ones(len(events)))
+    frame = bin_forward(pts, FrameGrid(200, 150, 0.01, (0.03, 0.0)), BinningKernel.RECT)
+    assert frame.values.sum() > 400
+    _write_frame_csv(tmp_path / "expected.csv", frame)
+    assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_nonfinite_coordinate_names_its_line(tmp_path, capsys):
@@ -223,6 +272,15 @@ def test_synth_golden_bytes(tmp_path, model, sha256):
     path = tmp_path / "e.txt"
     assert main(["synth", "--seed", "9", "--model", model, "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_precision_golden_bytes(tmp_path):
+    """The precision table keeps its bytes: the Simpson nodes of both integrals are unchanged."""
+    path = tmp_path / "precision.csv"
+    assert main(["precision", "--kernel", "rect", "--recon", "cubic", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6ed386556da8f4c8a84eb2a080cacf87503c80b1037541eb4124dc549bf8621a"
+    )
 
 
 def test_estimate_rejects_misnumbered_truth(events_file, tmp_path, capsys):
