@@ -25,7 +25,14 @@ from scipy.integrate import simpson
 
 from .binning import GradMode
 from .estimator import ObjectiveConfig, _Evaluation, objective_value
-from .kernels import BINNING_SUPPORT, BinningKernel, ReconKernel, _simpson_nodes, eval_binning_kernel, synthesize_kappa
+from .kernels import (
+    BINNING_SUPPORT,
+    BinningKernel,
+    ReconKernel,
+    _simpson_nodes,
+    eval_binning_kernel,
+    synthesize_kappa,
+)
 from .warp import EventPacket
 
 

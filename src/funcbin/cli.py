@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .analysis import bias_grid, bias_report, degree_of_precision
-from .binning import FBP, FrameGrid, GradMode, Naive, STE, Sigmoid, WeightedPoints, bin_forward
+from .binning import FBP, Frame, FrameGrid, GradMode, Naive, STE, Sigmoid, WeightedPoints, bin_forward
 from .errors import FuncbinError
 from .estimator import ObjectiveConfig, lbfgs_maximize, rms_error
 from .events_io import (
@@ -96,11 +96,12 @@ def _all_modes(args):
     return [Naive(), FBP(ReconKernel(args.recon)), STE(), Sigmoid()]
 
 
-def _event_grid(args, events) -> tuple[FrameGrid, float]:
-    """The flags' grid in event coordinates, spacing ``delta / s`` and origin ``offset / s``, and the scale s.
+def _zero_motion_frame(args, events) -> tuple[Frame, float]:
+    """The events binned at zero motion on the flags' grid, and the scale s.
 
+    The grid is in event coordinates: spacing ``delta / s``, origin ``offset / s``.
     s is ``--scale``, or else fits the event bounding box into the grid interior
-    with a 5% margin. A mapping that puts no event on the grid is refused.
+    with a 5% margin. A mapping under which no event reaches the grid is refused.
     """
     # refuse bad flags before the auto-scale can cancel them (a negative delta gives a positive delta / s)
     FrameGrid(args.width, args.height, args.delta, (args.offset_x, args.offset_y))
@@ -113,15 +114,14 @@ def _event_grid(args, events) -> tuple[FrameGrid, float]:
     else:
         raise FuncbinError(f"--scale must be positive and finite, got {args.scale}")
     grid = FrameGrid(args.width, args.height, args.delta / s, (args.offset_x / s, args.offset_y / s))
-    # bin (u, v) covers [u - 1/2, u + 1/2) x [v - 1/2, v + 1/2) in bin units
-    u = (events.xs - grid.origin[0]) / grid.delta
-    v = (events.ys - grid.origin[1]) / grid.delta
-    if not np.any((u >= -0.5) & (u < grid.width - 0.5) & (v >= -0.5) & (v < grid.height - 0.5)):
+    pts = WeightedPoints(events.xs, events.ys, np.ones(len(events)))
+    frame = bin_forward(pts, grid, BinningKernel(args.kernel))
+    if not frame.values.sum() > 0.0:
         raise FuncbinError(
-            f"no event lies on the {grid.width}x{grid.height} grid at zero motion under scale {s:.6g}; "
+            f"no event reaches the {grid.width}x{grid.height} grid at zero motion under scale {s:.6g}; "
             "check --scale and --offset-x/-y"
         )
-    return grid, s
+    return frame, s
 
 
 def _require_infile(args):
@@ -137,12 +137,12 @@ def _objective_setup(args, mode: GradMode) -> tuple[ObjectiveConfig, list[EventP
     """The objective under ``mode``, the packets of ``--ne`` events (at most all) of ``--in``, and the scale."""
     events = _require_infile(args)
     packets = packetize(events, min(args.ne, len(events)))
-    grid, scale = _event_grid(args, events)
+    frame, scale = _zero_motion_frame(args, events)
     cfg = ObjectiveConfig(
         kernel=BinningKernel(args.kernel),
         mode=mode,
         score=ScoreKind(args.score, NBParams(r=args.r, p=args.p)),
-        grid=grid,
+        grid=frame.grid,
         model=args.model,
     )
     return cfg, packets, scale
@@ -158,12 +158,10 @@ def _write_frame_csv(path, frame) -> None:
 def cmd_bin(args) -> int:
     """Bin events into a frame at zero motion and write it as CSV."""
     events = _require_infile(args)
-    grid, scale = _event_grid(args, events)
-    pts = WeightedPoints(events.xs, events.ys, np.ones(len(events)))
-    frame = bin_forward(pts, grid, BinningKernel(args.kernel))
+    frame, scale = _zero_motion_frame(args, events)
     out = args.out or "frame.csv"
     _write_frame_csv(out, frame)
-    print(f"wrote {out}: {grid.width}x{grid.height} frame, mass {frame.values.sum():.6f}, scale {scale:.6g}")
+    print(f"wrote {out}: {frame.grid.width}x{frame.grid.height} frame, mass {frame.values.sum():.6f}, scale {scale:.6g}")
     return 0
 
 

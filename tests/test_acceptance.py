@@ -273,9 +273,9 @@ def test_external_events_pipeline():
     packets = packetize(events, 20000)
     xs, ys = events.xs, events.ys
     scale = 0.9 * min(2.0 / max(np.ptp(xs), 1.0), 1.5 / max(np.ptp(ys), 1.0))
-    cfg = ObjectiveConfig(
-        BinningKernel.RECT, FBP(ReconKernel.LINEAR), ScoreKind("var"), GRID, scale=scale
-    )
+    # the scale folded into the grid, as the CLI does: spacing delta / scale, origin origin / scale
+    grid = FrameGrid(GRID.width, GRID.height, GRID.delta / scale, (GRID.origin[0] / scale, GRID.origin[1] / scale))
+    cfg = ObjectiveConfig(BinningKernel.RECT, FBP(ReconKernel.LINEAR), ScoreKind("var"), grid)
     estimates = [lbfgs_maximize(cfg, p, np.zeros(3))[0] for p in packets[:3]]
     ok = len(estimates) >= 1 and all(np.all(np.isfinite(e)) for e in estimates)
     report("external events pipeline", ok, f"{len(estimates)} packets estimated")

@@ -184,6 +184,22 @@ def test_mapping_with_no_event_on_the_grid_is_runtime_error(events_file, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kernel, reaches", [("rect", False), ("linear", True), ("gauss", True)])
+def test_event_off_the_grid_counts_when_its_kernel_reaches_it(tmp_path, capsys, kernel, reaches):
+    """An event 0.9 bins left of the grid puts mass into bin 0 under a kernel of support
+    above 0.9 (linear 1, gauss 1.5), so only the rect kernel refuses the mapping."""
+    path = tmp_path / "events.txt"
+    path.write_text("0.0 0.0 0.5 1\n0.1 0.5 0.5 1\n0.2 1.0 0.5 1\n")
+    out = tmp_path / "frame.csv"
+    argv = ["bin", "--in", str(path), "--kernel", kernel, "--scale", "1", "--offset-x", "1.009", "--out", str(out)]
+    assert main(argv) == (0 if reaches else 1)
+    if reaches:
+        assert np.loadtxt(out, delimiter=",")[:, 0].sum() > 0.0
+    else:
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "FuncbinError"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--delta", "--offset-x"])
 def test_nonfinite_grid_flag_is_invalid_grid(events_file, tmp_path, capsys, flag):
     out = tmp_path / "frame.csv"
