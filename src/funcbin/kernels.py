@@ -6,17 +6,23 @@ rebuild a continuous adjoint signal from per-bin values. Their convolution
 ``kappa = l * k`` is the kernel whose derivative replaces the (possibly
 nonexistent) derivative of ``k`` in the backward pass.
 
-All kernels here are symmetric with compact support. ``kappa`` is available
-in closed form whenever ``l`` is the linear spline; every other pairing is
-tabulated by numerical convolution on a uniform grid and fitted with a
-natural cubic spline, whose piecewise coefficients are evaluated by direct
-interval lookup.
+All kernels here are symmetric with compact support. When ``k`` is a
+B-spline (rect, linear) and ``l`` is piecewise polynomial on unit pieces
+(linear, Keys' cubic), ``kappa`` is exact: on each tap of a binning window it
+is one polynomial of the point's fractional offset, with coefficients derived
+in rational arithmetic from ``l``'s pieces. The truncated Gaussian with the
+linear ``l`` has an exact erf form. Every other pairing (the Gaussian with
+the cubic, and each kernel with Lanczos) is tabulated by numerical
+convolution on a uniform grid and fitted with a natural cubic spline, whose
+piecewise coefficients are evaluated by direct interval lookup.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import simpson
@@ -103,6 +109,18 @@ def _lanczos_raw(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# The reconstruction kernels that are one polynomial per unit interval: piece j
+# covers |x| in [j, j + 1), coefficients in ascending powers of |x|. Keys'
+# cubic is the a = -1/2 member of his family (Keys 1981).
+_RECON_PIECES = {
+    ReconKernel.LINEAR: ((1, -1),),
+    ReconKernel.CUBIC: ((1, 0, Fraction(-5, 2), Fraction(3, 2)), (2, -4, Fraction(5, 2), Fraction(-1, 2))),
+}
+
+# the binning kernels that are B-splines, by order: rect * rect = linear
+_BSPLINE_ORDER = {BinningKernel.RECT: 1, BinningKernel.LINEAR: 2}
+
+
 def eval_recon_kernel(kind: ReconKernel, x) -> np.ndarray:
     """Evaluate the reconstruction kernel l at x.
 
@@ -144,37 +162,6 @@ class SynthesizedKernel:
         raise NotImplementedError
 
 
-# The antiderivatives below are piecewise. Where evaluating every piece's
-# formula on every element and picking with np.where is faster than
-# gathering each piece's elements through a boolean mask, they do that, with
-# the same per-element formulas and so the same results, except that the
-# triangle's K2 cubes by products where the masks used pow (the rounding
-# differs; see tests/kernel_oracle.py). The erf piece of the Gaussian's K2 is
-# dearer than the gathers, so it keeps its masks.
-
-
-def _rect_antider(t: np.ndarray, order: int) -> np.ndarray:
-    # K1 / K2: first and second antiderivatives of k_rect, vanishing at -inf.
-    if order == 1:
-        return np.clip(t, -0.5, 0.5) + 0.5
-    # K2(0.5) = 0.5, slope 1 beyond
-    return np.where(t <= -0.5, 0.0, np.where(t >= 0.5, t, 0.5 * (t + 0.5) ** 2))
-
-
-def _linear_antider(t: np.ndarray, order: int) -> np.ndarray:
-    a = np.abs(t)
-    s = np.sign(t)
-    if order == 1:
-        core = 0.5 + s * (np.minimum(a, 1.0) - 0.5 * np.minimum(a, 1.0) ** 2)
-        return core
-    # second antiderivative of the triangle, vanishing for t <= -1
-    u = t + 1.0
-    neg = u * u * u / 6.0
-    pos = 1.0 / 6.0 + 0.5 * t + 0.5 * t * t - t * t * t / 6.0
-    # K2(1) = 1, slope 1 beyond
-    return np.where(t <= -1.0, 0.0, np.where(t < 0.0, neg, np.where(t < 1.0, pos, t)))
-
-
 def _gauss_phi(t: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t) / _SQRT_2PI
 
@@ -186,6 +173,8 @@ def _gauss_cdf(t: np.ndarray) -> np.ndarray:
 _GAUSS_MASS = float(erf(1.5 / _SQRT2))
 
 
+# K1 picks its pieces with np.where; K2 gathers the elements of its erf piece
+# through a mask instead, since evaluating erf on every element costs more.
 def _gauss_antider(t: np.ndarray, order: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     lo = t <= -1.5
@@ -208,33 +197,143 @@ def _gauss_antider(t: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-_ANTIDERS = {
-    BinningKernel.RECT: _rect_antider,
-    BinningKernel.LINEAR: _linear_antider,
-    BinningKernel.GAUSS_TRUNC: _gauss_antider,
-}
-
-
 class _ClosedFormKernel(SynthesizedKernel):
-    """Exact kappa for l = linear spline.
+    """Exact kappa for the truncated Gaussian k and l = linear spline.
 
     Convolving with the triangle equals a second difference of the second
     antiderivative of k: kappa(x) = K2(x+1) - 2 K2(x) + K2(x-1), and
-    kappa'(x) = K1(x+1) - 2 K1(x) + K1(x-1). This reproduces the piecewise
-    polynomial / erf branch formulas exactly and is stable at branch edges.
+    kappa'(x) = K1(x+1) - 2 K1(x) + K1(x-1), in the erf form of K1 and K2.
     """
 
     def kappa(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        f = _ANTIDERS[self.k_kind]
-        out = f(x + 1.0, 2) - 2.0 * f(x, 2) + f(x - 1.0, 2)
+        out = _gauss_antider(x + 1.0, 2) - 2.0 * _gauss_antider(x, 2) + _gauss_antider(x - 1.0, 2)
         return np.where(np.abs(x) >= self.support_radius, 0.0, out)
 
     def kappa_prime(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        f = _ANTIDERS[self.k_kind]
-        out = f(x + 1.0, 1) - 2.0 * f(x, 1) + f(x - 1.0, 1)
+        out = _gauss_antider(x + 1.0, 1) - 2.0 * _gauss_antider(x, 1) + _gauss_antider(x - 1.0, 1)
         return np.where(np.abs(x) >= self.support_radius, 0.0, out)
+
+
+# Exact polynomial arithmetic on coefficient lists in ascending powers.
+
+
+def _poly_add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def _poly_compose_affine(p, a, b):
+    """Coefficients of p(a + b s) in s, by the binomial expansion of each power."""
+    return [b**i * sum(c * math.comb(k, i) * a ** (k - i) for k, c in enumerate(p[i:], i)) for i in range(len(p))]
+
+
+def _poly_integral(p):
+    """The antiderivative of p that vanishes at s = 0."""
+    return [Fraction(0)] + [Fraction(c) / (i + 1) for i, c in enumerate(p)]
+
+
+def _unit_pieces(l_kind: ReconKernel, order: int, lo: int, hi: int) -> list[list[list[Fraction]]]:
+    """Local polynomials of l's antiderivatives on the unit intervals [j, j + 1), j = lo .. hi - 1.
+
+    Entry [m][j - lo] holds L_m(j + s) as a polynomial in s in [0, 1), with
+    L_0 = l and L_m the antiderivative of L_(m-1) vanishing at -inf, for
+    m = 0 .. order. ``lo`` must not exceed -R, where l vanishes.
+    """
+    pieces = _RECON_PIECES[l_kind]
+    R = len(pieces)
+    # l(j + s): |x| = j + s on the right half, -j - s on the left
+    level = [
+        _poly_compose_affine(pieces[j], j, 1) if 0 <= j < R
+        else _poly_compose_affine(pieces[-j - 1], -j, -1) if -R <= j < 0
+        else [0]
+        for j in range(lo, hi)
+    ]
+    out = [level]
+    for _ in range(order):
+        value, nxt = Fraction(0), []
+        for p in level:
+            q = _poly_integral(p)
+            q[0] += value
+            value = sum(q)
+            nxt.append(q)
+        out.append(level := nxt)
+    return out
+
+
+class PolynomialKernel(SynthesizedKernel):
+    """Exact kappa when k is a B-spline (rect, linear) and l is piecewise polynomial on unit pieces.
+
+    For k the B-spline of order m (rect m = 1, linear m = 2), kappa = l * k is the
+    m-th central difference of L_m, the m-th antiderivative of l:
+
+        kappa(x)  = sum_i (-1)^i C(m, i) L_m(x + m/2 - i),
+        kappa'(x) = sum_i (-1)^i C(m, i) L_(m-1)(x + m/2 - i).
+
+    Both break only where x + m/2 is an integer, so on the tap t of a binning
+    window, offset x = s + r - 1 - t with s in [0, 1), each is one polynomial
+    in s. Their coefficients are derived in exact rational arithmetic from l's
+    pieces and rounded once; ``tap_tables`` evaluates every tap with one
+    product of the power basis of s and the (degree + 1, 2 count) coefficient
+    matrix, and ``kappa``/``kappa_prime`` evaluate the same pieces pointwise.
+    """
+
+    def __init__(self, k_kind, l_kind):
+        super().__init__(k_kind, l_kind)
+        m = _BSPLINE_ORDER[k_kind]
+        R = len(_RECON_PIECES[l_kind])
+        self.count = count = m + 2 * R
+        lo = -R - m
+        L = _unit_pieces(l_kind, m, lo, R + m)
+        # tap t, term i: L(x + m/2 - i) at x = s + r - 1 - t is piece j = R - 1 - t + m - i
+        cols = [
+            functools.reduce(
+                _poly_add,
+                ([(-1) ** i * math.comb(m, i) * c for c in L[order][R - 1 - t + m - i - lo]] for i in range(m + 1)),
+            )
+            for order in (m, m - 1)
+            for t in range(count)
+        ]
+        deg = max(len(c) for c in cols)
+        self.tap_coeffs = np.array([[float(c[d]) if d < len(c) else 0.0 for c in cols] for d in range(deg)])
+
+    def tap_tables(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(n, count) tables of kappa and kappa' at the offsets s + r - 1 - t of each window."""
+        powers = np.empty((len(self.tap_coeffs), len(s)))
+        powers[0] = 1.0
+        for d in range(1, len(powers)):
+            np.multiply(powers[d - 1], s, out=powers[d])
+        tables = powers.T @ self.tap_coeffs
+        return tables[:, : self.count], tables[:, self.count :]
+
+    def _pointwise(self, x: np.ndarray, first_col: int) -> np.ndarray:
+        # kappa is even and kappa' odd, so the piece is found for |x| = s + r - 1 - t.
+        # Few arrays live at once: allocating them costs more than the arithmetic.
+        s = np.abs(x).reshape(-1)
+        s -= self.support_radius - 1.0
+        minus_t = np.floor(s)
+        s -= minus_t
+        off_support = minus_t > 0
+        np.minimum(minus_t, 0.0, out=minus_t)
+        cols = (first_col - minus_t).astype(np.int64)
+        del minus_t
+        out = self.tap_coeffs[-1].take(cols)
+        term = np.empty_like(out)
+        for c in self.tap_coeffs[-2::-1]:
+            out *= s
+            out += c.take(cols, out=term, mode="clip")
+        out[off_support] = 0.0
+        return out.reshape(x.shape)
+
+    def kappa(self, x) -> np.ndarray:
+        return self._pointwise(np.asarray(x, dtype=float), 0)
+
+    def kappa_prime(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = self._pointwise(x, self.count)
+        out *= np.sign(x)
+        return out
 
 
 class _TabulatedKernel(SynthesizedKernel):
@@ -300,7 +399,10 @@ def _convolve_on_grid(k_kind, l_kind, xs) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def synthesize_kappa(k_kind: BinningKernel, l_kind: ReconKernel) -> SynthesizedKernel:
-    """Build kappa = l * k: closed form when l is linear, tabulated otherwise."""
+    """Build kappa = l * k: exact per-tap polynomials when k is rect or linear and l
+    linear or cubic, the erf closed form for the Gaussian and linear l, tabulated otherwise."""
+    if k_kind in _BSPLINE_ORDER and l_kind in _RECON_PIECES:
+        return PolynomialKernel(k_kind, l_kind)
     if l_kind == ReconKernel.LINEAR:
         return _ClosedFormKernel(k_kind, l_kind)
     return _TabulatedKernel(k_kind, l_kind)

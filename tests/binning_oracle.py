@@ -3,19 +3,43 @@
 Each pass visits the kernel window one tap (du, dv) at a time and scatters
 or gathers every point for that tap, recomputing the kernel factors of both
 axes. The window is the one the package uses: the ``ceil(2 r)`` bins u in
-(x - r, x + r]. The package's separable core must agree with these loops up
-to float summation order.
+(x - r, x + r]. Bin indices stay floats until a mask has kept the taps on
+the grid, so a coordinate far off it never reaches an integer cast. Every
+factor is evaluated pointwise, with the rule's functions resolved here. The
+package's separable core must agree with these loops up to float summation
+order and the rounding of its per-tap polynomial tables.
 """
 
 import numpy as np
 
-from funcbin.binning import _axis_rule
-from funcbin.kernels import BINNING_SUPPORT, eval_binning_kernel
+from funcbin import FBP, STE, Naive, Sigmoid
+from funcbin.binning import sigmoid_derivative, ste_derivative
+from funcbin.kernels import (
+    BINNING_SUPPORT,
+    ReconKernel,
+    eval_binning_kernel,
+    eval_binning_kernel_prime,
+    synthesize_kappa,
+)
+
+
+def _axis_rule(k, mode):
+    """(g, g', radius) of a derivative rule, as pointwise functions."""
+    if isinstance(mode, Naive):
+        return lambda x: eval_binning_kernel(k, x), lambda x: eval_binning_kernel_prime(k, x), BINNING_SUPPORT[k]
+    sk = synthesize_kappa(k, mode.recon if isinstance(mode, FBP) else ReconKernel.LINEAR)
+    gp = {FBP: sk.kappa_prime, STE: ste_derivative, Sigmoid: sigmoid_derivative}[type(mode)]
+    return sk.kappa, gp, sk.support_radius
 
 
 def _window(coords, radius):
-    """First bin index and bin count of the window u in (coord - radius, coord + radius]."""
-    return np.floor(coords - radius).astype(np.int64) + 1, int(np.ceil(2.0 * radius))
+    """First bin (a float) and bin count of the window u in (coord - radius, coord + radius]."""
+    return np.floor(coords - radius) + 1.0, int(np.ceil(2.0 * radius))
+
+
+def _on_grid(m, *idx):
+    """The bin indices ``idx`` of the taps that mask ``m`` keeps, as integers."""
+    return tuple(i[m].astype(np.int64) for i in idx)
 
 
 def _normalized(pts, grid):
@@ -36,7 +60,8 @@ def forward(pts, grid, k):
             v = v0 + dv
             wy = eval_binning_kernel(k, yn - v)
             m = (u >= 0) & (u < W) & (v >= 0) & (v < H)
-            flat += np.bincount(u[m] * H + v[m], weights=(pts.ws * wx * wy)[m], minlength=W * H)
+            um, vm = _on_grid(m, u, v)
+            flat += np.bincount(um * H + vm, weights=(pts.ws * wx * wy)[m], minlength=W * H)
     return flat.reshape(W, H)
 
 
@@ -59,7 +84,8 @@ def jvp(pts, tangents, grid, k, mode):
             gy, gpy = g(dy), gp(dy)
             vals = pts.ws * (gpx * gy * xdot + gx * gpy * ydot) / d
             m = (u >= 0) & (u < W) & (v >= 0) & (v < H)
-            flat += np.bincount(u[m] * H + v[m], weights=vals[m], minlength=W * H)
+            um, vm = _on_grid(m, u, v)
+            flat += np.bincount(um * H + vm, weights=vals[m], minlength=W * H)
     return flat.reshape(W, H)
 
 
@@ -83,7 +109,7 @@ def vjp(pts, adjoint, grid, k, mode):
             gy, gpy = g(dy), gp(dy)
             m = (u >= 0) & (u < W) & (v >= 0) & (v < H)
             a = np.zeros(n)
-            a[m] = adjoint[u[m], v[m]]
+            a[m] = adjoint[_on_grid(m, u, v)]
             out_x += a * pts.ws * gpx * gy / d
             out_y += a * pts.ws * gx * gpy / d
     return out_x, out_y
@@ -97,7 +123,7 @@ def forward_1d(xs, ws, width, delta, origin, k):
         u = u0 + du
         w = eval_binning_kernel(k, xn - u)
         m = (u >= 0) & (u < width)
-        np.add.at(out, u[m], (ws * w)[m])
+        np.add.at(out, _on_grid(m, u), (ws * w)[m])
     return out
 
 
@@ -110,7 +136,7 @@ def jvp_1d(xs, ws, xdot, width, delta, origin, k, mode):
         u = u0 + du
         vals = ws * gp(xn - u) * xdot / delta
         m = (u >= 0) & (u < width)
-        np.add.at(out, u[m], vals[m])
+        np.add.at(out, _on_grid(m, u), vals[m])
     return out
 
 
@@ -123,6 +149,6 @@ def vjp_1d(xs, ws, adjoint, width, delta, origin, k, mode):
         u = u0 + du
         m = (u >= 0) & (u < width)
         a = np.zeros(len(xs))
-        a[m] = adjoint[u[m]]
+        a[m] = adjoint[_on_grid(m, u)]
         out += a * ws * gp(xn - u) / delta
     return out

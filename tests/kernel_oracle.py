@@ -1,11 +1,9 @@
 """Test references for the kernels.
 
-- Boolean-mask versions of the closed-form antiderivatives: each piece of a
-  piecewise antiderivative is evaluated on the elements that a boolean mask
-  gathers and scattered back. The package picks the pieces with
-  ``np.where`` instead wherever that is faster, and must give the same bits
-  (the linear kernel's K2, rewritten with products, to a measured rounding
-  bound).
+- A boolean-mask version of the Gaussian's closed-form antiderivatives: each
+  piece is evaluated on the elements that a boolean mask gathers and
+  scattered back. The package picks its first antiderivative's pieces with
+  ``np.where`` instead, and must give the same bits.
 - Quadrature oracles: an independent trapezoid-rule convolution and the
   masses of k and kappa.
 """
@@ -25,38 +23,6 @@ from funcbin.kernels import (
     eval_binning_kernel,
     eval_recon_kernel,
 )
-
-
-def rect_antider(t, order):
-    if order == 1:
-        return np.clip(t, -0.5, 0.5) + 0.5
-    lo = t <= -0.5
-    hi = t >= 0.5
-    mid = ~(lo | hi)
-    out = np.empty_like(t)
-    out[lo] = 0.0
-    out[mid] = 0.5 * (t[mid] + 0.5) ** 2
-    out[hi] = t[hi]
-    return out
-
-
-def linear_antider(t, order):
-    """The triangle's K1 and K2, with K2's cubic pieces through ``pow``."""
-    a = np.abs(t)
-    s = np.sign(t)
-    if order == 1:
-        return 0.5 + s * (np.minimum(a, 1.0) - 0.5 * np.minimum(a, 1.0) ** 2)
-    out = np.empty_like(t)
-    lo = t <= -1.0
-    hi = t >= 1.0
-    neg = (~lo) & (t < 0.0)
-    pos = (~hi) & (t >= 0.0)
-    out[lo] = 0.0
-    out[neg] = (t[neg] + 1.0) ** 3 / 6.0
-    tp = t[pos]
-    out[pos] = 1.0 / 6.0 + 0.5 * tp + 0.5 * tp**2 - tp**3 / 6.0
-    out[hi] = t[hi]
-    return out
 
 
 def gauss_antider(t, order):

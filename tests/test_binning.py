@@ -276,3 +276,79 @@ def test_mirrored_point_negates_x_gradient(k, mode):
     gx, gy = bin_vjp(pts, vbar, grid, k, mode)
     assert gx[1] == pytest.approx(-gx[0], rel=1e-12, abs=1e-15)
     assert gy[1] == pytest.approx(gy[0], rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", list(BinningKernel))
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_windows_across_the_edges_and_far_beyond(k, mode):
+    """Windows straddling every edge match the loop oracle; points far beyond the padding add nothing.
+
+    The far points include coordinates past the int64 range (1e300) and past
+    2^53 (1e17), where a window's first bin is no longer exact in floats.
+    """
+    W, H, d = 9, 7, 0.5
+    grid = FrameGrid(W, H, d, origin=(0.25, -0.5))
+    # bin units; every window (radius up to 3.5) crosses an edge for some of these
+    ux = np.concatenate([np.arange(-4.0, 3.0, 0.375), np.arange(W - 4.0, W + 3.0, 0.375)])
+    uy = np.concatenate([np.arange(-4.0, 3.0, 0.375), np.arange(H - 4.0, H + 3.0, 0.375)])
+    ux, uy = (a.ravel() for a in np.meshgrid(ux, uy, indexing="ij"))
+    far = np.array([1e300, -1e300, 1e17, -1e17, 3e9, W + 40.0])
+    inside = np.full(len(far), 3.3)
+    ux_all, uy_all = np.concatenate([ux, far, inside, far]), np.concatenate([uy, inside, far, far])
+    n_near = len(ux)
+    rng = np.random.default_rng(12)
+    ws = rng.uniform(0.5, 2.0, len(ux_all))
+    xdot, ydot = rng.normal(size=len(ux_all)), rng.normal(size=len(ux_all))
+    vbar = rng.normal(size=grid.shape)
+    pts = WeightedPoints(grid.origin[0] + ux_all * d, grid.origin[1] + uy_all * d, ws)
+    near = WeightedPoints(pts.xs[:n_near], pts.ys[:n_near], ws[:n_near])
+
+    frame = bin_forward(pts, grid, k).values
+    _assert_close(frame, oracle.forward(pts, grid, k))
+    assert np.array_equal(frame, bin_forward(near, grid, k).values)
+    jvp = bin_jvp(pts, (xdot, ydot), grid, k, mode)
+    _assert_close(jvp, oracle.jvp(pts, (xdot, ydot), grid, k, mode))
+    assert np.array_equal(jvp, bin_jvp(near, (xdot[:n_near], ydot[:n_near]), grid, k, mode))
+    for got, ref, alone in zip(
+        bin_vjp(pts, vbar, grid, k, mode), oracle.vjp(pts, vbar, grid, k, mode), bin_vjp(near, vbar, grid, k, mode)
+    ):
+        _assert_close(got, ref)
+        assert np.array_equal(got[:n_near], alone) and np.all(got[n_near:] == 0.0)
+
+    # one axis: the near x coordinates, then the far ones
+    xs = pts.xs[: n_near + len(far)]
+    w1, xd1, o = ws[: len(xs)], xdot[: len(xs)], grid.origin[0]
+    m = n_near
+    fwd = bin_forward_1d(xs, w1, W, d, o, k)
+    _assert_close(fwd, oracle.forward_1d(xs, w1, W, d, o, k))
+    assert np.array_equal(fwd, bin_forward_1d(xs[:m], w1[:m], W, d, o, k))
+    jvp1 = bin_jvp_1d(xs, w1, xd1, W, d, o, k, mode)
+    _assert_close(jvp1, oracle.jvp_1d(xs, w1, xd1, W, d, o, k, mode))
+    assert np.array_equal(jvp1, bin_jvp_1d(xs[:m], w1[:m], xd1[:m], W, d, o, k, mode))
+    vjp1 = bin_vjp_1d(xs, w1, vbar[:, 0], W, d, o, k, mode)
+    _assert_close(vjp1, oracle.vjp_1d(xs, w1, vbar[:, 0], W, d, o, k, mode))
+    assert np.array_equal(vjp1[:m], bin_vjp_1d(xs[:m], w1[:m], vbar[:, 0], W, d, o, k, mode))
+    assert np.all(vjp1[m:] == 0.0)
+
+
+_X3, _W3, _A5 = [0.5, 1.5, 2.5], [1.0, 1.0, 1.0], np.ones(5)
+_RULE = (BinningKernel.RECT, FBP(ReconKernel.CUBIC))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: bin_jvp_1d(_X3, _W3, [1.0], 5, 1.0, 0.0, *_RULE), LengthMismatchError),
+        (lambda: bin_jvp_1d(_X3, [1.0], _W3, 5, 1.0, 0.0, *_RULE), LengthMismatchError),
+        (lambda: bin_vjp_1d(_X3, [1.0], _A5, 5, 1.0, 0.0, *_RULE), LengthMismatchError),
+        (lambda: bin_jvp_1d(_X3, _W3, _W3, 5, np.nan, 0.0, *_RULE), InvalidGridError),
+        (lambda: bin_vjp_1d(_X3, _W3, _A5, 5, np.nan, 0.0, *_RULE), InvalidGridError),
+        (lambda: bin_forward_1d([0.5, np.inf, 2.5], _W3, 5, 1.0, 0.0, BinningKernel.RECT), ValueError),
+        (lambda: bin_vjp_1d([0.5, np.nan, 2.5], _W3, _A5, 5, 1.0, 0.0, *_RULE), ValueError),
+    ],
+    ids=["jvp-xdot-length", "jvp-ws-length", "vjp-ws-length", "jvp-nan-delta", "vjp-nan-delta", "forward-inf-x", "vjp-nan-x"],
+)
+def test_1d_passes_reject_bad_input(call, error):
+    """The 1D tangent and adjoint passes check their input as the forward pass does, instead of broadcasting."""
+    with pytest.raises(error):
+        call()

@@ -291,12 +291,18 @@ def test_synth_golden_bytes(tmp_path, model, sha256):
 
 
 def test_precision_golden_bytes(tmp_path):
-    """The precision table keeps its bytes: the Simpson nodes of both integrals are unchanged."""
+    """The precision table keeps its bytes: the Simpson nodes of both integrals are unchanged.
+
+    rect x cubic pins the exact per-tap polynomial kappa', gauss x cubic the
+    tabulated spline.
+    """
     path = tmp_path / "precision.csv"
-    assert main(["precision", "--kernel", "rect", "--recon", "cubic", "--out", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "6ed386556da8f4c8a84eb2a080cacf87503c80b1037541eb4124dc549bf8621a"
-    )
+    for kernel, sha256 in (
+        ("rect", "24ab43072e9bde5e0accf86950a19aa887e795be7b387338e0626fcecfa2aa53"),
+        ("gauss", "c5110bfa96a46e7723c83d989f3622c0d1b30aeef47a3a832680bcd8942bcf2e"),
+    ):
+        assert main(["precision", "--kernel", kernel, "--recon", "cubic", "--out", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256, kernel
 
 
 def test_estimate_rejects_misnumbered_truth(events_file, tmp_path, capsys):
